@@ -29,6 +29,8 @@ def get_spark(app: str) -> SparkSession:
         .config("spark.sql.execution.arrow.pyspark.enabled", "true")
         .config("spark.sql.autoBroadcastJoinThreshold", -1)
         .config("spark.ui.enabled", "false")
+        # Keeps results/*.err to warnings, not progress-bar fragments.
+        .config("spark.ui.showConsoleProgress", "false")
         .getOrCreate()
     )
     s.sparkContext.setLogLevel("ERROR")

@@ -7,18 +7,21 @@ fresh random vertices if the frontier dries up; topping up with random
 unselected edges if even re-seeding cannot reach the budget, which
 happens once every vertex's top-``top_k`` edges are taken).
 
-Level-synchronous DataFrame loop: each round is one join with the
-degree-annotated adjacency plus a window rank; state is localCheckpointed
-every round.
+The rounds are a sequential frontier expansion, so they run on the
+driver over the ordered edge list (DESIGN.md §2), as Forest Fire does.
+Each vertex's top-``top_k`` incident edges are ranked once, by neighbour
+degree descending and then ``dst``; degree is out-degree for directed
+graphs, whose edges to heads with out-degree 0 are never candidates.
+Every round is then a handful of NumPy index operations, and all draws
+come from one ``np.random.default_rng(seed)``.
 """
 from __future__ import annotations
 
-from pyspark.sql import DataFrame, Window
-from pyspark.sql import functions as F
+import numpy as np
+import pandas as pd
 
 from repro.core.graph import Graph
-from repro.core.iterate import materialize
-from repro.sparsifiers.base import take_k, target_edges
+from repro.sparsifiers.base import target_edges
 
 
 def rank_degree_sparsify(
@@ -32,84 +35,57 @@ def rank_degree_sparsify(
 ) -> Graph:
     """Iterative seed expansion keeping edges to top-degree neighbors."""
     k_target = target_edges(g.m, rho)
-    spark = g.spark
-    deg_of_dst = (
-        g.degrees(include_zero=False)
-        .withColumnRenamed("v", "dst")
-        .withColumnRenamed("degree", "nbr_deg")
-    )
-    adj = materialize(
-        g.adjacency().join(deg_of_dst, "dst").select("src", "dst", "weight", "nbr_deg")
-    )
+    src, dst, wts = g.to_arrays()
+    eid = np.arange(len(src))
+    # Incidence rows (vertex u, neighbour v, canonical edge id).
+    if g.directed:
+        u, v, e = src, dst, eid
+    else:
+        u, v, e = np.concatenate([src, dst]), np.concatenate([dst, src]), np.tile(eid, 2)
+    deg = np.bincount(u, minlength=g.n)
+    # Heads without out-edges are never candidates (directed graphs only).
+    has_out = deg[v] > 0
+    u, v, e = u[has_out], v[has_out], e[has_out]
+    order = np.lexsort((v, -deg[v], u))
+    u, e = u[order], e[order]
+    # Row position minus the start of its vertex's run is its 0-based rank.
+    top = np.arange(len(u)) - np.searchsorted(u, u) < top_k
+    top_u, top_e = u[top], e[top]
 
-    def canonical(e: DataFrame) -> DataFrame:
-        if g.directed:
-            return e.select("src", "dst", "weight")
-        return e.select(
-            F.least("src", "dst").alias("src"),
-            F.greatest("src", "dst").alias("dst"),
-            "weight",
-        ).distinct()
+    rng = np.random.default_rng(seed)
+    frac = min(1.0, max(seed_fraction, 8.0 / max(g.n, 1)))
 
-    def random_seeds(it: int) -> DataFrame:
-        frac = min(1.0, max(seed_fraction, 8.0 / max(g.n, 1)))
-        return materialize(
-            g.vertices()
-            .withColumn("_r", F.rand(seed * 1000 + it))
-            .where(F.col("_r") < frac)
-            .select(F.col("v").alias("src"))
-        )
+    def random_seeds() -> np.ndarray:
+        return rng.random(g.n) < frac
 
-    selected = materialize(
-        spark.createDataFrame([], "src long, dst long, weight double")
-    )
-    seeds = random_seeds(0)
+    selected = np.zeros(len(src), dtype=bool)
     n_selected = 0
+    seeds = random_seeds()
     reseeded_dry = False
-    for it in range(max_iter):
-        w_rank = Window.partitionBy("src").orderBy(
-            F.col("nbr_deg").desc(), F.col("dst")
-        )
-        cand = (
-            adj.join(seeds, "src")
-            .withColumn("rank", F.row_number().over(w_rank))
-            .where(F.col("rank") <= top_k)
-        )
-        new_edges = materialize(
-            canonical(cand).join(selected, ["src", "dst"], "left_anti")
-        )
-        n_new = new_edges.count()
-        if n_new == 0:
+    for _ in range(max_iter):
+        new = np.unique(top_e[seeds[top_u]])
+        new = new[~selected[new]]
+        if len(new) == 0:
             if reseeded_dry:
                 break  # even fresh seeds add nothing: top-k edges saturated
-            seeds = random_seeds(it + 1)
+            seeds = random_seeds()
             reseeded_dry = True
             continue
         reseeded_dry = False
-        if n_selected + n_new > k_target:
-            new_edges = take_k(
-                new_edges.withColumn("_r", F.rand(seed * 77 + it)),
-                k_target - n_selected,
-                [F.col("_r"), "src", "dst"],
-            )
-            n_new = k_target - n_selected
-        selected = materialize(selected.unionByName(new_edges))
-        n_selected += n_new
+        if n_selected + len(new) > k_target:
+            new = rng.choice(new, k_target - n_selected, replace=False)
+        selected[new] = True
+        n_selected += len(new)
         if n_selected >= k_target:
             break
         # Newly reached vertices drive the next round.
-        seeds = materialize(
-            new_edges.select(F.col("dst").alias("src"))
-            .unionByName(new_edges.select(F.col("src").alias("src")))
-            .distinct()
-        )
+        seeds = np.zeros(g.n, dtype=bool)
+        seeds[src[new]] = seeds[dst[new]] = True
     if n_selected < k_target:
-        filler = take_k(
-            g.edges.join(selected, ["src", "dst"], "left_anti").withColumn(
-                "_r", F.rand(seed * 13 + 7)
-            ),
-            k_target - n_selected,
-            [F.col("_r"), "src", "dst"],
-        )
-        selected = materialize(selected.unionByName(filler))
-    return g.with_edges(selected, name=f"{g.name}|RD@{rho:.2f}")
+        rest = np.flatnonzero(~selected)
+        selected[rng.choice(rest, min(k_target - n_selected, len(rest)), replace=False)] = True
+    pdf = pd.DataFrame({"src": src[selected], "dst": dst[selected], "weight": wts[selected]})
+    return Graph.from_pandas(
+        g.spark, pdf, directed=g.directed, weighted=g.weighted, n=g.n,
+        name=f"{g.name}|RD@{rho:.2f}",
+    )

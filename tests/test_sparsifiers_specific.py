@@ -1,6 +1,7 @@
 """Per-algorithm semantic tests: each sparsifier's defining property."""
 import networkx as nx
 import numpy as np
+import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
@@ -9,6 +10,7 @@ from repro.core.registry import SPARSIFIERS
 from repro.metrics.connectivity import connected_components, num_components
 from repro.sparsifiers.base import best_int_threshold, target_edges, take_k
 from repro.sparsifiers.effective_resistance import effective_resistances
+from repro.sparsifiers.rank_degree import rank_degree_sparsify
 from repro.sparsifiers.similarity import edge_scores, minhash_jaccard_scores
 from tests.conftest import to_nx
 
@@ -95,6 +97,37 @@ class TestRankDegree:
             deg.loc[all_e["src"]].to_numpy(), deg.loc[all_e["dst"]].to_numpy()
         ).mean()
         assert kept_max_deg > all_max_deg
+
+    @staticmethod
+    def top3_union(g):
+        """Canonical edges in the union of every vertex's top-3 edges.
+
+        Ranked by the head's out-degree descending, ties by ``dst``; heads
+        with out-degree 0 are not candidates.
+        """
+        e = g.to_pandas_edges()[["src", "dst"]]
+        inc = e if g.directed else pd.concat(
+            [e, e.rename(columns={"src": "dst", "dst": "src"})], ignore_index=True
+        )
+        deg = inc.groupby("src").size()
+        inc = inc[inc["dst"].isin(deg.index)].assign(nbr_deg=lambda x: x["dst"].map(deg))
+        top = (
+            inc.sort_values(["src", "nbr_deg", "dst"], ascending=[True, False, True])
+            .groupby("src")
+            .head(3)
+        )
+        if g.directed:
+            return set(zip(top["src"], top["dst"]))
+        return set(zip(np.minimum(top["src"], top["dst"]), np.maximum(top["src"], top["dst"])))
+
+    @pytest.mark.parametrize("fixture", ["tiny_undirected", "tiny_directed"])
+    def test_all_seed_round_is_top3_union(self, request, fixture):
+        """With every vertex a seed, round 1 alone meets the budget."""
+        g = request.getfixturevalue(fixture)
+        union = self.top3_union(g)
+        h = rank_degree_sparsify(g, 1.0 - len(union) / g.m, seed=0, seed_fraction=1.0)
+        kept = h.to_pandas_edges()
+        assert set(zip(kept["src"], kept["dst"])) == union and h.m == len(union)
 
 
 class TestLocalDegree:
