@@ -3,9 +3,10 @@
 ``run_sweep`` drives one figure's experiment: for every requested
 sparsifier and prune rate, sparsify (averaging non-deterministic
 algorithms over ``n_runs`` seeds, §3.2), evaluate a metric function
-``metric(original, sparsified) -> dict[str, float]``, and collect tidy
-rows with mean/std plus the achieved prune rate and sparsification wall
-time (reused by the Fig. 14 experiment).
+``metric(sparsified) -> dict[str, float]``, and collect tidy rows
+with mean/std plus the achieved prune rate and sparsification wall time
+(reused by the Fig. 14 experiment). The metric closes over whatever it
+precomputed on the original graph, so that side runs once per figure.
 
 Sparsifiers without prune-rate control (Table 2: SF, SP) are run once,
 at whatever rate their output implies.
@@ -20,7 +21,7 @@ import pandas as pd
 from repro.core.graph import Graph
 from repro.core.registry import SPARSIFIERS
 
-MetricFn = Callable[[Graph, Graph], Mapping[str, float]]
+MetricFn = Callable[[Graph], Mapping[str, float]]
 
 
 def sparsify_timed(spec, g: Graph, rho: float, *, seed: int) -> tuple[Graph, float]:
@@ -58,7 +59,7 @@ def run_sweep(
                 h, dt = sparsify_timed(
                     spec, g, 0.0 if rho is None else rho, seed=base_seed + r
                 )
-                vals = dict(metric(g, h))
+                vals = dict(metric(h))
                 h.edges.unpersist()
                 raw_rows.append(
                     {

@@ -15,10 +15,8 @@ a single full-graph ground truth.
 """
 from __future__ import annotations
 
-import numpy as np
 import pandas as pd
 from pyspark.sql import SparkSession
-from pyspark.sql import functions as F
 
 from repro.core.experiment import run_sweep, sparsify_timed
 from repro.core.graph import Graph
@@ -82,6 +80,9 @@ def table2_sparsifier_characteristics(
     """
     ds = _g(spark, "astroph_lite", scale, seed)
     g = ds.graph
+    orig_w = {
+        (r["src"], r["dst"]): r["weight"] for r in g.symmetrized().edges.collect()
+    }
     rows = []
     for ab, spec in SPARSIFIERS.items():
         h1, _ = sparsify_timed(spec, g, 0.5, seed=seed)
@@ -91,9 +92,6 @@ def table2_sparsifier_characteristics(
             == 0
             and h1.m == h2.m
         )
-        orig_w = {
-            (r["src"], r["dst"]): r["weight"] for r in g.symmetrized().edges.collect()
-        }
         changed = any(
             abs(orig_w.get((r["src"], r["dst"]), r["weight"]) - r["weight"]) > 1e-9
             for r in h1.edges.collect()
@@ -153,7 +151,7 @@ def fig01_connectivity(
     """Fig 1: pair-unreachable and vertex-isolated ratio vs prune rate."""
     g = _g(spark, dataset, scale, seed).graph
 
-    def metric(orig: Graph, h: Graph) -> dict[str, float]:
+    def metric(h: Graph) -> dict[str, float]:
         return {
             "unreachable": connectivity.unreachable_ratio(h),
             "isolated": connectivity.isolated_ratio(h),
@@ -182,11 +180,10 @@ def fig02_degree_distribution(
 ) -> dict[str, pd.DataFrame]:
     """Fig 2: Bhattacharyya distance of degree distributions (lower=better)."""
     g = _g(spark, dataset, scale, seed).graph
-    p = degree.histogram(degree.degree_counts(g), bins=100)
+    p = degree.degree_histogram(g)
 
-    def metric(orig: Graph, h: Graph) -> dict[str, float]:
-        q = degree.histogram(degree.degree_counts(h), bins=100)
-        return {"bhattacharyya": degree.bhattacharyya(p, q)}
+    def metric(h: Graph) -> dict[str, float]:
+        return {"bhattacharyya": degree.bhattacharyya(p, degree.degree_histogram(h))}
 
     res = run_sweep(g, sparsifiers, rhos, metric, n_runs=n_runs, base_seed=seed)
     return {"bhattacharyya": pivot_sweep(res, "bhattacharyya"), "raw": res}
@@ -204,13 +201,11 @@ def fig03_quadratic_form(
     """Fig 3: mean Laplacian quadratic form ratio (closer to 1 is better)."""
     g = _g(spark, dataset, scale, seed).graph
     vectors = quadratic.random_vectors(g.n, k_vectors, seed=seed)
-    qf_orig = (
-        quadratic.quadratic_forms(g, vectors).toPandas().set_index("vec")["qf"]
-    )
+    qf0 = quadratic.quadratic_forms(g, vectors)
 
-    def metric(orig: Graph, h: Graph) -> dict[str, float]:
-        qf_h = quadratic.quadratic_forms(h, vectors).toPandas().set_index("vec")["qf"]
-        return {"qf_ratio": float((qf_h / qf_orig).mean())}
+    def metric(h: Graph) -> dict[str, float]:
+        qf1 = quadratic.quadratic_forms(h, vectors)
+        return {"qf_ratio": quadratic.quadratic_form_ratio(qf0, qf1)}
 
     res = run_sweep(g, sparsifiers, rhos, metric, n_runs=n_runs, base_seed=seed)
     return {"qf_ratio": pivot_sweep(res, "qf_ratio"), "raw": res}
@@ -232,34 +227,14 @@ def fig04_distance(
     g = _g(spark, dataset_ab, scale, seed).graph
     sources = paths.sample_sources(g, n_sources, seed=seed)
     d0 = materialize(paths.multi_source_distances(g, sources))
-    e0 = d0.groupBy("s").agg(F.max("dist").alias("ecc0"))
 
-    def metric(orig: Graph, h: Graph) -> dict[str, float]:
+    def metric(h: Graph) -> dict[str, float]:
         d1 = materialize(paths.multi_source_distances(h, sources))
-        joined = (
-            d0.where(F.col("s") != F.col("v"))
-            .withColumnRenamed("dist", "d0")
-            .join(d1.withColumnRenamed("dist", "d1"), ["s", "v"], "left")
-            .agg(
-                F.count("*").alias("pairs"),
-                F.count("d1").alias("reached"),
-                F.avg(F.col("d1") / F.col("d0")).alias("stretch"),
-            )
-            .collect()[0]
-        )
-        e1 = (
-            d1.join(d0.select("s", "v"), ["s", "v"], "left_semi")
-            .groupBy("s")
-            .agg(F.max("dist").alias("ecc1"))
-        )
-        epdf = e0.join(e1, "s").where(F.col("ecc0") > 0).toPandas()
-        ecc_stretch = (
-            float((epdf["ecc1"] / epdf["ecc0"]).mean()) if not epdf.empty else np.nan
-        )
+        stretch, unreachable = paths.spsp_stretch(d0, d1)
         return {
-            "spsp_stretch": float(joined["stretch"] or np.nan),
-            "unreachable": 1.0 - joined["reached"] / joined["pairs"],
-            "ecc_stretch": ecc_stretch,
+            "spsp_stretch": stretch,
+            "unreachable": unreachable,
+            "ecc_stretch": paths.eccentricity_stretch(d0, d1),
         }
 
     res = run_sweep(g, sparsifiers, rhos, metric, n_runs=n_runs, base_seed=seed)
@@ -267,7 +242,7 @@ def fig04_distance(
     gc = _g(spark, dataset_c, scale, seed).graph
     diam_orig = paths.approx_diameter(gc, n_seeds=diameter_seeds, seed=seed)
 
-    def metric_diam(orig: Graph, h: Graph) -> dict[str, float]:
+    def metric_diam(h: Graph) -> dict[str, float]:
         return {"diameter": paths.approx_diameter(h, n_seeds=diameter_seeds, seed=seed)}
 
     res_c = run_sweep(gc, diam_sparsifiers, rhos, metric_diam, n_runs=n_runs, base_seed=seed)
@@ -300,7 +275,7 @@ def fig05_betweenness_closeness(
     sources_b = paths.sample_sources(g_b, n_sources, seed=seed)
     ref_b = materialize(betweenness.betweenness_scores(g_b, sources=sources_b))
 
-    def metric_b(orig: Graph, h: Graph) -> dict[str, float]:
+    def metric_b(h: Graph) -> dict[str, float]:
         sc = betweenness.betweenness_scores(h, sources=sources_b)
         return {"betweenness_p": centrality.top_k_precision(ref_b, sc, k=k_b)}
 
@@ -313,7 +288,7 @@ def fig05_betweenness_closeness(
     sources_c = paths.sample_sources(g_c, n_sources, seed=seed)
     ref_c = materialize(centrality.closeness_approx(g_c, sources=sources_c))
 
-    def metric_c(orig: Graph, h: Graph) -> dict[str, float]:
+    def metric_c(h: Graph) -> dict[str, float]:
         sc = centrality.closeness_approx(h, sources=sources_c)
         return {"closeness_p": centrality.top_k_precision(ref_c, sc, k=k_c)}
 
@@ -337,7 +312,7 @@ def fig06_eigenvector(
     k = _topk_for(g, top_k)
     ref = materialize(centrality.eigenvector_centrality(g, iters=iters))
 
-    def metric(orig: Graph, h: Graph) -> dict[str, float]:
+    def metric(h: Graph) -> dict[str, float]:
         sc = centrality.eigenvector_centrality(h, iters=iters)
         return {"eigenvector_p": centrality.top_k_precision(ref, sc, k=k)}
 
@@ -359,7 +334,7 @@ def fig07_katz(
     k = _topk_for(g, top_k)
     ref = materialize(centrality.katz_centrality(g, iters=iters))
 
-    def metric(orig: Graph, h: Graph) -> dict[str, float]:
+    def metric(h: Graph) -> dict[str, float]:
         sc = centrality.katz_centrality(h, iters=iters)
         return {"katz_p": centrality.top_k_precision(ref, sc, k=k)}
 
@@ -380,12 +355,12 @@ def fig08_communities(
     g = _g(spark, dataset, scale, seed).graph
     ref = clustering.num_communities(g)
 
-    def metric(orig: Graph, h: Graph) -> dict[str, float]:
+    def metric(h: Graph) -> dict[str, float]:
         return {"communities": float(clustering.num_communities(h))}
 
     res = run_sweep(g, sparsifiers, rhos, metric, n_runs=n_runs, base_seed=seed)
     return {
-        "communities": pivot_sweep(res, "communities", floatfmt="{:.0f}"),
+        "communities": pivot_sweep(res, "communities"),
         "raw": res,
         "original": pd.DataFrame([{"communities_full": ref}]),
     }
@@ -404,7 +379,7 @@ def fig09_clustering_coefficients(
     g_m = _g(spark, dataset_mcc, scale, seed).graph
     mcc_orig = clustering.mean_clustering_coefficient(g_m)
 
-    def metric_m(orig: Graph, h: Graph) -> dict[str, float]:
+    def metric_m(h: Graph) -> dict[str, float]:
         return {"mcc": clustering.mean_clustering_coefficient(h)}
 
     res_m = run_sweep(g_m, sparsifiers, rhos, metric_m, n_runs=n_runs, base_seed=seed)
@@ -412,7 +387,7 @@ def fig09_clustering_coefficients(
     g_g = _g(spark, dataset_gcc, scale, seed).graph
     gcc_orig = clustering.global_clustering_coefficient(g_g)
 
-    def metric_g(orig: Graph, h: Graph) -> dict[str, float]:
+    def metric_g(h: Graph) -> dict[str, float]:
         return {"gcc": clustering.global_clustering_coefficient(h)}
 
     res_g = run_sweep(g_g, sparsifiers, rhos, metric_g, n_runs=n_runs, base_seed=seed)
@@ -438,7 +413,7 @@ def fig10_clustering_f1(
     g = _g(spark, dataset, scale, seed).graph
     ref_labels = materialize(clustering.lpa_communities(g))
 
-    def metric(orig: Graph, h: Graph) -> dict[str, float]:
+    def metric(h: Graph) -> dict[str, float]:
         lab = clustering.lpa_communities(h)
         return {"f1": clustering.clustering_f1(lab, ref_labels, g.n)}
 
@@ -469,7 +444,7 @@ def fig11_pagerank(
         k = _topk_for(g, top_k)
         ref = materialize(centrality.pagerank(g, iters=iters))
 
-        def metric(orig: Graph, h: Graph, _ref=ref, _k=k) -> dict[str, float]:
+        def metric(h: Graph, _ref=ref, _k=k) -> dict[str, float]:
             sc = centrality.pagerank(h, iters=iters)
             return {"pagerank_p": centrality.top_k_precision(_ref, sc, k=_k)}
 
@@ -492,14 +467,10 @@ def fig12_mincut_maxflow(
     g = _g(spark, dataset, scale, seed).graph
     pairs = flow.sample_pairs(g, n_pairs, seed=seed)
     f0 = flow.max_flow_values(g, pairs)
-    valid = f0 > 1e-12
 
-    def metric(orig: Graph, h: Graph) -> dict[str, float]:
-        f1 = flow.max_flow_values(h.symmetrized(), pairs)
-        both = valid & (f1 > 1e-12)
-        stretch = float((f1[both] / f0[both]).mean()) if both.any() else np.nan
-        newly_zero = float((f1[valid] <= 1e-12).mean()) if valid.any() else 0.0
-        return {"flow_stretch": stretch, "flow_zero_frac": newly_zero}
+    def metric(h: Graph) -> dict[str, float]:
+        stretch, zero_frac = flow.maxflow_stretch(f0, flow.max_flow_values(h, pairs))
+        return {"flow_stretch": stretch, "flow_zero_frac": zero_frac}
 
     res = run_sweep(g, sparsifiers, rhos, metric, n_runs=n_runs, base_seed=seed)
     return {
@@ -530,7 +501,7 @@ def fig13_gnn(
         empty_graph(ds_a.graph), ds_a.graph, data_a, seed=seed, epochs=epochs_sage
     )
 
-    def metric_a(orig: Graph, h: Graph) -> dict[str, float]:
+    def metric_a(h: Graph) -> dict[str, float]:
         r = eval_graphsage(h, ds_a.graph, data_a, seed=seed, epochs=epochs_sage)
         return {"sage_auroc": r.auroc, "sage_acc": r.accuracy}
 
@@ -546,7 +517,7 @@ def fig13_gnn(
         empty_graph(ds_b.graph), ds_b.graph, data_b, seed=seed, epochs=epochs_cgcn
     )
 
-    def metric_b(orig: Graph, h: Graph) -> dict[str, float]:
+    def metric_b(h: Graph) -> dict[str, float]:
         r = eval_cluster_gcn(h, ds_b.graph, data_b, seed=seed, epochs=epochs_cgcn)
         return {"cgcn_acc": r.accuracy, "cgcn_auroc": r.auroc}
 
@@ -578,7 +549,7 @@ def fig14_sparsification_time(
     """Fig 14: sparsification wall time per sparsifier and prune rate."""
     g = _g(spark, dataset, scale, seed).graph
 
-    def metric(orig: Graph, h: Graph) -> dict[str, float]:
+    def metric(h: Graph) -> dict[str, float]:
         return {}
 
     res = run_sweep(g, sparsifiers, rhos, metric, n_runs=n_runs, base_seed=seed)

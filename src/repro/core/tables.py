@@ -35,9 +35,7 @@ def render(df: pd.DataFrame, *, floatfmt: str = "{:.3f}") -> str:
     return "\n".join(out)
 
 
-def pivot_sweep(
-    df: pd.DataFrame, value: str, *, floatfmt: str = "{:.3f}"
-) -> pd.DataFrame:
+def pivot_sweep(df: pd.DataFrame, value: str) -> pd.DataFrame:
     """Figure layout: one row per sparsifier, one column per prune rate."""
     p = df.pivot_table(
         index="sparsifier", columns="rho", values=value, dropna=False, sort=False

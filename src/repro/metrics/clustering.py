@@ -23,18 +23,22 @@ from repro.core.iterate import loop, materialize
 
 
 def edge_common_neighbors(g: Graph) -> DataFrame:
-    """DataFrame[u, v, common] per canonical undirected edge."""
-    gu = g.symmetrized()
-    nb = gu.adjacency().select("src", "dst")
-    pairs = gu.edges.select(F.col("src").alias("u"), F.col("dst").alias("v"))
+    """``g.edges`` with ``common`` = |N(src) ∩ N(dst)| appended.
+
+    Neighbourhoods follow :meth:`Graph.adjacency` (out-neighbours when
+    directed); symmetrize first for undirected triangle counts.
+    """
+    nb = g.adjacency().select("src", "dst")
+    pairs = g.edges.select(F.col("src").alias("u"), F.col("dst").alias("v"))
     u_nb = nb.select(F.col("src").alias("u"), F.col("dst").alias("c"))
     v_nb = nb.select(F.col("src").alias("v"), F.col("dst").alias("c"))
     common = (
         pairs.join(u_nb, "u").join(v_nb, ["v", "c"]).groupBy("u", "v").count()
-        .withColumnRenamed("count", "common")
+        .select(F.col("u").alias("src"), F.col("v").alias("dst"),
+                F.col("count").alias("common"))
     )
-    return pairs.join(common, ["u", "v"], "left").select(
-        "u", "v", F.coalesce("common", F.lit(0)).alias("common")
+    return g.edges.join(common, ["src", "dst"], "left").withColumn(
+        "common", F.coalesce("common", F.lit(0))
     )
 
 
@@ -42,8 +46,8 @@ def vertex_triangles(g: Graph) -> DataFrame:
     """DataFrame[v, triangles, degree] on the symmetrized graph."""
     gu = g.symmetrized()
     ecn = edge_common_neighbors(gu)
-    incident = ecn.select(F.col("u").alias("v"), "common").unionByName(
-        ecn.select(F.col("v").alias("v"), "common")
+    incident = ecn.select(F.col("src").alias("v"), "common").unionByName(
+        ecn.select(F.col("dst").alias("v"), "common")
     )
     tri = incident.groupBy("v").agg((F.sum("common") / 2).alias("triangles"))
     return (

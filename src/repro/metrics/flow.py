@@ -103,18 +103,16 @@ def sample_pairs(g: Graph, k: int, *, seed: int = 0) -> list[tuple[int, int]]:
     return pairs
 
 
-def maxflow_stretch(
-    orig: Graph, sparse: Graph, *, pairs: list[tuple[int, int]]
-) -> tuple[float, float]:
-    """(mean flow stretch, newly-zero fraction) over sampled pairs.
+def maxflow_stretch(f0: np.ndarray, f1: np.ndarray) -> tuple[float, float]:
+    """(mean flow stretch, newly-zero fraction) from the
+    :func:`max_flow_values` of the original (``f0``) and the sparsified
+    graph (``f1``) over the same pairs.
 
     Pairs with zero flow in the original are excluded (different
     communities, Table 1 footnote); pairs that drop to zero only in the
     sparsified graph are excluded from the mean but reported as the
     second value (the §4.5 unreachable constraint).
     """
-    f0 = max_flow_values(orig, pairs)
-    f1 = max_flow_values(sparse, pairs)
     valid = f0 > 1e-12
     if not valid.any():
         return float("nan"), 0.0

@@ -4,7 +4,9 @@ The workhorse is a *batched multi-source* shortest-path DataFrame job:
 all sampled sources run in one frontier table (s, v, dist), each round
 relaxing the frontier against the adjacency and keeping improvements —
 plain BFS on unweighted graphs, frontier-based Bellman-Ford on weighted
-ones. The paper's estimators are built on top:
+ones. The paper's estimators compare two such tables, the original's
+(computed once per figure) and a sparsified graph's, from the same
+sources:
 
 * **SPSP stretch** — mean of d_sparse/d_orig over sampled (s, v) pairs
   reachable in both graphs (the paper's §3.3.2 sampling of APSP);
@@ -78,28 +80,23 @@ def multi_source_distances(
     return dist
 
 
-def spsp_stretch(
-    orig: Graph, sparse: Graph, *, sources: list[int], max_iter: int = 128
-) -> tuple[float, float]:
+def spsp_stretch(d0: DataFrame, d1: DataFrame) -> tuple[float, float]:
     """(mean stretch, newly-unreachable fraction) over sampled pairs.
 
-    Stretch = d_sparse/d_orig averaged over pairs reachable in both
-    graphs (s != v). The second value is the fraction of pairs reachable
-    in the original that became unreachable after sparsification.
+    ``d0`` and ``d1`` are :func:`multi_source_distances` of the original
+    and the sparsified graph from the same sources. Stretch =
+    d_sparse/d_orig averaged over pairs reachable in both graphs (s != v).
+    The second value is the fraction of pairs reachable in the original
+    that became unreachable after sparsification.
     """
-    d0 = multi_source_distances(orig, sources, max_iter=max_iter).where(
-        F.col("s") != F.col("v")
-    )
-    d1 = multi_source_distances(sparse, sources, max_iter=max_iter)
     joined = (
-        d0.withColumnRenamed("dist", "d_orig")
-        .join(
-            d1.withColumnRenamed("dist", "d_sparse"), ["s", "v"], "left"
-        )
+        d0.where(F.col("s") != F.col("v"))
+        .withColumnRenamed("dist", "d0")
+        .join(d1.withColumnRenamed("dist", "d1"), ["s", "v"], "left")
         .agg(
             F.count("*").alias("pairs"),
-            F.count("d_sparse").alias("reached"),
-            F.avg(F.col("d_sparse") / F.col("d_orig")).alias("stretch"),
+            F.count("d1").alias("reached"),
+            F.avg(F.col("d1") / F.col("d0")).alias("stretch"),
         )
         .collect()[0]
     )
@@ -119,14 +116,14 @@ def eccentricities(g: Graph, *, sources: list[int], within: DataFrame | None = N
     )
 
 
-def eccentricity_stretch(orig: Graph, sparse: Graph, *, sources: list[int]) -> float:
-    """Mean ecc_sparse/ecc_orig over sampled sources, on the original's
-    reachable set (so disconnection inflates, not hides, the stretch)."""
-    d0 = materialize(multi_source_distances(orig, sources))
+def eccentricity_stretch(d0: DataFrame, d1: DataFrame) -> float:
+    """Mean ecc_sparse/ecc_orig over the sources of the original's (``d0``)
+    and the sparsified graph's (``d1``) :func:`multi_source_distances`, on
+    the original's reachable set (so disconnection inflates, not hides,
+    the stretch)."""
     e0 = d0.groupBy("s").agg(F.max("dist").alias("ecc0"))
     e1 = (
-        multi_source_distances(sparse, sources)
-        .join(d0.select("s", "v"), ["s", "v"], "left_semi")
+        d1.join(d0.select("s", "v"), ["s", "v"], "left_semi")
         .groupBy("s")
         .agg(F.max("dist").alias("ecc1"))
     )

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
 from repro.core.graph import Graph
@@ -30,13 +29,13 @@ def random_vectors(n: int, k: int, *, seed: int = 0) -> pd.DataFrame:
     )
 
 
-def quadratic_forms(g: Graph, vectors: pd.DataFrame) -> DataFrame:
-    """DataFrame[vec, qf] with ``qf = x_vec^T L x_vec`` per test vector."""
+def quadratic_forms(g: Graph, vectors: pd.DataFrame) -> pd.Series:
+    """``x_vec^T L x_vec`` per test vector, indexed by ``vec``."""
     gu = g.symmetrized()
     vec_df = g.spark.createDataFrame(vectors, schema="v long, vec long, x double")
     xu = vec_df.select(F.col("v").alias("src"), "vec", F.col("x").alias("xu"))
     xv = vec_df.select(F.col("v").alias("dst"), "vec", F.col("x").alias("xv"))
-    return (
+    qf = (
         gu.edges.join(xu, "src")
         .join(xv, ["dst", "vec"])
         .groupBy("vec")
@@ -44,15 +43,11 @@ def quadratic_forms(g: Graph, vectors: pd.DataFrame) -> DataFrame:
             F.sum(F.col("weight") * (F.col("xu") - F.col("xv")) ** 2).alias("qf")
         )
     )
+    return qf.toPandas().set_index("vec")["qf"]
 
 
-def quadratic_form_ratio(
-    orig: Graph, sparse: Graph, *, k_vectors: int = 100, seed: int = 0
-) -> float:
-    """Mean over random vectors of x^T L_sparse x / x^T L_orig x."""
-    vectors = random_vectors(orig.n, k_vectors, seed=seed)
-    a = quadratic_forms(orig, vectors).withColumnRenamed("qf", "qf_orig")
-    b = quadratic_forms(sparse, vectors).withColumnRenamed("qf", "qf_sparse")
-    pdf = a.join(b, "vec").toPandas()
-    ratios = pdf["qf_sparse"] / pdf["qf_orig"]
-    return float(ratios.mean())
+def quadratic_form_ratio(qf0: pd.Series, qf1: pd.Series) -> float:
+    """Mean over test vectors of x^T L_sparse x / x^T L_orig x, from the
+    :func:`quadratic_forms` of the original (``qf0``) and the sparsified
+    graph (``qf1``) on the same vectors."""
+    return float((qf1 / qf0).mean())

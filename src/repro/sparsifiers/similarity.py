@@ -5,7 +5,8 @@ All four start from per-edge neighborhood-overlap scores computed with
 DataFrame self-joins over the adjacency:
 
 * exact Jaccard |N(u)∩N(v)| / |N(u)∪N(v)| — common-neighbor counting via
-  a two-hop join (a distributed triangle enumeration);
+  the two-hop join of :func:`repro.metrics.clustering.edge_common_neighbors`
+  (a distributed triangle enumeration);
 * SCAN structural similarity (|N(u)∩N(v)|+1) / sqrt((d(u)+1)(d(v)+1));
 * L-Spar's *approximate* Jaccard via k min-wise hashes (the O(k|E|) row
   of Table 2), computed with ``xxhash64`` min-aggregates per vertex.
@@ -27,6 +28,7 @@ from pyspark.sql import functions as F
 
 from repro.core.graph import Graph
 from repro.core.iterate import materialize
+from repro.metrics.clustering import edge_common_neighbors
 from repro.sparsifiers.base import take_k, target_edges
 
 
@@ -36,23 +38,13 @@ def edge_scores(g: Graph) -> DataFrame:
     Returns DataFrame[src, dst, weight, common, du, dv, jaccard, scan]:
     ``common`` = |N(src) ∩ N(dst)| (out-neighborhoods when directed).
     """
-    nb = g.adjacency().select("src", "dst")
-    pairs = g.edges.select(F.col("src").alias("u"), F.col("dst").alias("v"))
-    u_nb = nb.select(F.col("src").alias("u"), F.col("dst").alias("c"))
-    v_nb = nb.select(F.col("src").alias("v"), F.col("dst").alias("c"))
-    common = (
-        pairs.join(u_nb, "u").join(v_nb, ["v", "c"]).groupBy("u", "v").count()
-        .withColumnRenamed("count", "common")
-    )
     deg = g.degrees(include_zero=False)
-    du = deg.select(F.col("v").alias("u"), F.col("degree").alias("du"))
-    dv = deg.select(F.col("v").alias("v"), F.col("degree").alias("dv"))
-    scored = (
-        g.edges.withColumnRenamed("src", "u").withColumnRenamed("dst", "v")
-        .join(common, ["u", "v"], "left")
-        .join(du, "u")
-        .join(dv, "v")
-        .withColumn("common", F.coalesce("common", F.lit(0)))
+    du = deg.select(F.col("v").alias("src"), F.col("degree").alias("du"))
+    dv = deg.select(F.col("v").alias("dst"), F.col("degree").alias("dv"))
+    return (
+        edge_common_neighbors(g)
+        .join(du, "src")
+        .join(dv, "dst")
         .withColumn(
             "jaccard",
             F.col("common")
@@ -63,12 +55,8 @@ def edge_scores(g: Graph) -> DataFrame:
             (F.col("common") + 1)
             / F.sqrt((F.col("du") + 1.0) * (F.col("dv") + 1.0)),
         )
-        .select(
-            F.col("u").alias("src"), F.col("v").alias("dst"), "weight",
-            "common", "du", "dv", "jaccard", "scan",
-        )
+        .select("src", "dst", "weight", "common", "du", "dv", "jaccard", "scan")
     )
-    return scored
 
 
 def minhash_jaccard_scores(g: Graph, *, k_hashes: int = 8, seed: int = 0) -> DataFrame:

@@ -13,8 +13,8 @@ from repro.core.registry import METRICS, SPARSIFIERS
 class TestRunSweep:
     @pytest.fixture(scope="class")
     def sweep_result(self, tiny_undirected):
-        def metric(orig, h):
-            return {"kept_frac": h.m / orig.m}
+        def metric(h):
+            return {"kept_frac": h.m / tiny_undirected.m}
 
         return run_sweep(
             tiny_undirected, ["RN", "LD", "SF"], [0.3, 0.6], metric, n_runs=2

@@ -44,6 +44,37 @@ class TestTables:
         assert df.set_index("Name").loc["facebook_lite", "Connected"]
 
 
+# RN at rho=0 keeps every edge, so each figure's metric must report the
+# value of a graph compared with itself.
+IDENTITY = [
+    ("fig02_degree_distribution", {}, {"bhattacharyya": 0.0}),
+    ("fig03_quadratic_form", {"k_vectors": 10}, {"qf_ratio": 1.0}),
+    (
+        "fig04_distance",
+        {"n_sources": 4, "diameter_seeds": 2, "diam_sparsifiers": ["RN"]},
+        {"spsp_stretch": 1.0, "ecc_stretch": 1.0, "unreachable": 0.0},
+    ),
+    (
+        "fig12_mincut_maxflow",
+        {"dataset": "google_lite"},  # directed
+        {"flow_stretch": 1.0, "flow_zero_frac": 0.0},
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "fig,kwargs,expected", IDENTITY, ids=[fig[:5] for fig, _, _ in IDENTITY]
+)
+def test_identity_sparsifier_scores_as_original(spark, fig, kwargs, expected):
+    out = getattr(figures, fig)(
+        spark, sparsifiers=["RN"], scale=0.1, rhos=[0.0], n_runs=1, seed=0, **kwargs
+    )
+    row = out["raw"].iloc[0]
+    assert row["achieved_rho"] == 0.0
+    for key, value in expected.items():
+        assert row[key] == pytest.approx(value, abs=1e-9), key
+
+
 class TestFigures:
     def test_fig01(self, spark):
         out = figures.fig01_connectivity(spark, sparsifiers=["RN", "LD"], **SMALL)

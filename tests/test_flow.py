@@ -54,9 +54,8 @@ class TestSamplePairs:
 class TestMaxflowStretch:
     def test_identity(self, tiny_undirected):
         pairs = flow.sample_pairs(tiny_undirected, 4, seed=0)
-        stretch, zero = flow.maxflow_stretch(
-            tiny_undirected, tiny_undirected, pairs=pairs
-        )
+        f = flow.max_flow_values(tiny_undirected, pairs)
+        stretch, zero = flow.maxflow_stretch(f, f)
         assert stretch == pytest.approx(1.0)
         assert zero == 0.0
 
@@ -65,11 +64,21 @@ class TestMaxflowStretch:
 
         h = SPARSIFIERS["RN"](tiny_undirected, 0.5, seed=0)
         pairs = flow.sample_pairs(tiny_undirected, 4, seed=0)
-        stretch, _ = flow.maxflow_stretch(tiny_undirected, h, pairs=pairs)
+        stretch, _ = flow.maxflow_stretch(
+            flow.max_flow_values(tiny_undirected, pairs), flow.max_flow_values(h, pairs)
+        )
         assert stretch <= 1.0 + 1e-9
 
     def test_disconnected_pairs_excluded(self, tiny_disconnected):
         g = tiny_disconnected
         pairs = [(0, 55), (0, 1)]  # first crosses components (flow 0)
-        stretch, zero = flow.maxflow_stretch(g, g, pairs=pairs)
+        f = flow.max_flow_values(g, pairs)
+        stretch, zero = flow.maxflow_stretch(f, f)
         assert stretch == pytest.approx(1.0)  # only the valid pair counts
+
+    def test_newly_zero_pairs_leave_the_mean(self):
+        f0 = np.array([0.0, 2.0, 4.0, 3.0])
+        f1 = np.array([1.0, 1.0, 0.0, 3.0])
+        stretch, zero = flow.maxflow_stretch(f0, f1)
+        assert stretch == pytest.approx((0.5 + 1.0) / 2)
+        assert zero == pytest.approx(1 / 3)

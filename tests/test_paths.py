@@ -61,9 +61,8 @@ class TestSampleSources:
 class TestSpspStretch:
     def test_identity(self, tiny_undirected):
         srcs = paths.sample_sources(tiny_undirected, 3, seed=0)
-        stretch, unreach = paths.spsp_stretch(
-            tiny_undirected, tiny_undirected, sources=srcs
-        )
+        d = paths.multi_source_distances(tiny_undirected, srcs)
+        stretch, unreach = paths.spsp_stretch(d, d)
         assert stretch == pytest.approx(1.0)
         assert unreach == 0.0
 
@@ -72,7 +71,10 @@ class TestSpspStretch:
 
         h = SPARSIFIERS["RN"](tiny_undirected, 0.5, seed=0)
         srcs = paths.sample_sources(tiny_undirected, 3, seed=0)
-        stretch, unreach = paths.spsp_stretch(tiny_undirected, h, sources=srcs)
+        stretch, unreach = paths.spsp_stretch(
+            paths.multi_source_distances(tiny_undirected, srcs),
+            paths.multi_source_distances(h, srcs),
+        )
         assert stretch >= 1.0
         assert 0.0 <= unreach <= 1.0
 
@@ -83,8 +85,10 @@ class TestSpspStretch:
         h = path_graph.with_edges(
             path_graph.edges.where(~((F.col("src") == 4) & (F.col("dst") == 5)))
         )
+        srcs = list(range(10))
         stretch, unreach = paths.spsp_stretch(
-            path_graph, h, sources=list(range(10))
+            paths.multi_source_distances(path_graph, srcs),
+            paths.multi_source_distances(h, srcs),
         )
         assert stretch == pytest.approx(1.0)  # surviving pairs keep distance
         # pairs crossing the cut: 5*5 ordered both ways = 50 of 90
@@ -103,9 +107,8 @@ class TestEccentricity:
 
     def test_stretch_identity(self, tiny_undirected):
         srcs = paths.sample_sources(tiny_undirected, 4, seed=0)
-        assert paths.eccentricity_stretch(
-            tiny_undirected, tiny_undirected, sources=srcs
-        ) == pytest.approx(1.0)
+        d = paths.multi_source_distances(tiny_undirected, srcs)
+        assert paths.eccentricity_stretch(d, d) == pytest.approx(1.0)
 
 
 class TestApproxDiameter:

@@ -6,11 +6,18 @@ from repro.core.registry import SPARSIFIERS
 from repro.metrics import degree, quadratic
 
 
+def _ratio(g, h, k_vectors):
+    vecs = quadratic.random_vectors(g.n, k_vectors, seed=0)
+    return quadratic.quadratic_form_ratio(
+        quadratic.quadratic_forms(g, vecs), quadratic.quadratic_forms(h, vecs)
+    )
+
+
 class TestQuadraticForm:
     def test_matches_dense_laplacian(self, tiny_weighted):
         g = tiny_weighted
         vecs = quadratic.random_vectors(g.n, 5, seed=1)
-        ours = quadratic.quadratic_forms(g, vecs).toPandas().set_index("vec")["qf"]
+        ours = quadratic.quadratic_forms(g, vecs)
         # dense reference
         L = np.zeros((g.n, g.n))
         for r in g.to_pandas_edges().itertuples():
@@ -23,21 +30,19 @@ class TestQuadraticForm:
             assert ours.loc[k] == pytest.approx(X[:, k] @ L @ X[:, k], rel=1e-9)
 
     def test_ratio_identity(self, tiny_undirected):
-        r = quadratic.quadratic_form_ratio(
-            tiny_undirected, tiny_undirected, k_vectors=10, seed=0
+        qf = quadratic.quadratic_forms(
+            tiny_undirected, quadratic.random_vectors(tiny_undirected.n, 10, seed=0)
         )
-        assert r == pytest.approx(1.0)
+        assert quadratic.quadratic_form_ratio(qf, qf) == pytest.approx(1.0)
 
     def test_er_weighted_preserves(self, tiny_undirected):
         """The Spielman-Srivastava estimator keeps the ratio near 1."""
         h = SPARSIFIERS["ERw"](tiny_undirected, 0.5, seed=0)
-        r = quadratic.quadratic_form_ratio(tiny_undirected, h, k_vectors=30, seed=0)
-        assert abs(r - 1.0) < 0.35
+        assert abs(_ratio(tiny_undirected, h, 30) - 1.0) < 0.35
 
     def test_random_does_not_preserve(self, tiny_undirected):
         h = SPARSIFIERS["RN"](tiny_undirected, 0.5, seed=0)
-        r = quadratic.quadratic_form_ratio(tiny_undirected, h, k_vectors=20, seed=0)
-        assert r < 0.75  # roughly rho of the mass is gone
+        assert _ratio(tiny_undirected, h, 20) < 0.75  # roughly rho of the mass is gone
 
     def test_random_vectors_deterministic(self):
         a = quadratic.random_vectors(10, 3, seed=5)
@@ -65,9 +70,8 @@ class TestDegreeDistribution:
         assert degree.bhattacharyya(p, q) > 100
 
     def test_distance_identity(self, tiny_undirected):
-        assert degree.degree_distribution_distance(
-            tiny_undirected, tiny_undirected
-        ) == pytest.approx(0.0, abs=1e-12)
+        p = degree.degree_histogram(tiny_undirected)
+        assert degree.bhattacharyya(p, p) == pytest.approx(0.0, abs=1e-12)
 
     def test_random_beats_local_degree(self, tiny_undirected):
         """The Fig 2 headline: uniform sampling preserves the shape better
@@ -75,8 +79,9 @@ class TestDegreeDistribution:
         g = tiny_undirected
         rn = SPARSIFIERS["RN"](g, 0.6, seed=0)
         ld = SPARSIFIERS["LD"](g, 0.6, seed=0)
-        assert degree.degree_distribution_distance(g, rn) < (
-            degree.degree_distribution_distance(g, ld)
+        p = degree.degree_histogram(g)
+        assert degree.bhattacharyya(p, degree.degree_histogram(rn)) < (
+            degree.bhattacharyya(p, degree.degree_histogram(ld))
         )
 
     def test_degree_counts_include_isolated(self, tiny_undirected):
