@@ -11,7 +11,9 @@ records their output against the paper's reported shapes.
 Sampled estimators precompute the original graph's side once per figure
 (distances, centrality scores, reference clusterings) and reuse it for
 every sparsified graph, exactly as the paper compares everything against
-a single full-graph ground truth.
+a single full-graph ground truth. The loop kernels and
+``paths.multi_source_distances`` return checkpointed frames already;
+only the lazy betweenness and closeness references are materialized here.
 """
 from __future__ import annotations
 
@@ -226,10 +228,10 @@ def fig04_distance(
     """Fig 4: (a) SPSP stretch, (b) eccentricity stretch, (c) diameter."""
     g = _g(spark, dataset_ab, scale, seed).graph
     sources = paths.sample_sources(g, n_sources, seed=seed)
-    d0 = materialize(paths.multi_source_distances(g, sources))
+    d0 = paths.multi_source_distances(g, sources)
 
     def metric(h: Graph) -> dict[str, float]:
-        d1 = materialize(paths.multi_source_distances(h, sources))
+        d1 = paths.multi_source_distances(h, sources)
         stretch, unreachable = paths.spsp_stretch(d0, d1)
         return {
             "spsp_stretch": stretch,
@@ -310,7 +312,7 @@ def fig06_eigenvector(
     """Fig 6: eigenvector centrality top-k precision."""
     g = _g(spark, dataset, scale, seed).graph
     k = _topk_for(g, top_k)
-    ref = materialize(centrality.eigenvector_centrality(g, iters=iters))
+    ref = centrality.eigenvector_centrality(g, iters=iters)
 
     def metric(h: Graph) -> dict[str, float]:
         sc = centrality.eigenvector_centrality(h, iters=iters)
@@ -332,7 +334,7 @@ def fig07_katz(
     """Fig 7: Katz centrality top-k precision (directed graph)."""
     g = _g(spark, dataset, scale, seed).graph
     k = _topk_for(g, top_k)
-    ref = materialize(centrality.katz_centrality(g, iters=iters))
+    ref = centrality.katz_centrality(g, iters=iters)
 
     def metric(h: Graph) -> dict[str, float]:
         sc = centrality.katz_centrality(h, iters=iters)
@@ -411,7 +413,7 @@ def fig10_clustering_f1(
 ) -> dict[str, pd.DataFrame]:
     """Fig 10: clustering F1 similarity vs the original graph's clustering."""
     g = _g(spark, dataset, scale, seed).graph
-    ref_labels = materialize(clustering.lpa_communities(g))
+    ref_labels = clustering.lpa_communities(g)
 
     def metric(h: Graph) -> dict[str, float]:
         lab = clustering.lpa_communities(h)
@@ -442,7 +444,7 @@ def fig11_pagerank(
     ):
         g = _g(spark, name, scale, seed).graph
         k = _topk_for(g, top_k)
-        ref = materialize(centrality.pagerank(g, iters=iters))
+        ref = centrality.pagerank(g, iters=iters)
 
         def metric(h: Graph, _ref=ref, _k=k) -> dict[str, float]:
             sc = centrality.pagerank(h, iters=iters)

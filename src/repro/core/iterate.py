@@ -1,21 +1,26 @@
-"""Helpers for level-synchronous iterative DataFrame algorithms.
+"""The one fixed-point loop for level-synchronous DataFrame algorithms.
 
-Every Pregel-style metric in this repo (BFS/Bellman-Ford, PageRank, power
-iteration, Katz, label propagation, connected components) is a loop of
-``join frontier with adjacency -> aggregate -> compare``. Two practical
-concerns are factored out here:
+PageRank, power iteration, Katz, label propagation and connected
+components are each a loop of ``join state with adjacency -> aggregate``
+supersteps. :func:`loop` owns what they share:
 
 * **Lineage control** — each iteration adds a join + aggregate to the
   plan; after a few dozen rounds Catalyst analysis dominates runtime.
-  ``materialize`` localCheckpoints eagerly to truncate lineage.
-* **Convergence actions** — convergence checks need an action per round;
-  we standardize on cheap single-row aggregates.
+  ``loop`` localCheckpoints the initial state and every step's output
+  once, so each step starts from a shallow plan.
+* **Convergence** — the optional stop test is one cheap ``limit(1)``
+  job per round: has any row of the named column changed?
+
+The frontier loops of :mod:`repro.metrics.paths` and
+:mod:`repro.metrics.betweenness` carry a frontier beside their state and
+run their own rounds.
 """
 from __future__ import annotations
 
 from typing import Callable
 
 from pyspark.sql import DataFrame
+from pyspark.sql import functions as F
 
 
 def materialize(df: DataFrame) -> DataFrame:
@@ -28,23 +33,31 @@ def loop(
     step: Callable[[DataFrame, int], DataFrame],
     *,
     max_iter: int,
-    done: Callable[[DataFrame, DataFrame], bool] | None = None,
-    checkpoint_every: int = 1,
+    until_stable: str | None = None,
 ) -> DataFrame:
-    """Run ``state = step(state, i)`` until ``done`` or ``max_iter``.
+    """Run ``state = step(state, i)`` for ``i < max_iter``; return the last
+    (checkpointed) state.
 
-    ``done(prev, new)`` may run actions (counts/aggregates); it is called
-    after each step. The state is localCheckpointed every
-    ``checkpoint_every`` iterations (and always before returning) so the
-    caller never receives an unboundedly deep plan.
+    With ``until_stable``, stop after the first step that leaves that
+    column unchanged on every row; rows are matched on the state's other
+    columns.
     """
     state = materialize(state)
     for i in range(max_iter):
-        new = step(state, i)
-        if (i + 1) % checkpoint_every == 0:
-            new = materialize(new)
-        if done is not None and done(state, new):
-            state = new
-            break
+        new = materialize(step(state, i))
+        if until_stable is not None and _unchanged(state, new, until_stable):
+            return new
         state = new
-    return materialize(state)
+    return state
+
+
+def _unchanged(prev: DataFrame, new: DataFrame, col: str) -> bool:
+    keys = [c for c in prev.columns if c != col]
+    changed = (
+        prev.withColumnRenamed(col, "_prev")
+        .join(new, keys)
+        .where(F.col("_prev") != F.col(col))
+        .limit(1)
+        .count()
+    )
+    return changed == 0

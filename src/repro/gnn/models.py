@@ -138,15 +138,20 @@ def sage_backward(
 def cross_entropy_grad(
     logits: np.ndarray, y: np.ndarray, mask: np.ndarray
 ) -> tuple[float, np.ndarray]:
-    """Masked mean cross-entropy loss and dL/dlogits."""
-    probs = _softmax(logits)
-    n_eff = max(int(mask.sum()), 1)
-    idx = np.flatnonzero(mask)
-    loss = float(-np.log(np.maximum(probs[idx, y[idx]], 1e-12)).mean())
+    """Masked mean cross-entropy loss and dL/dlogits.
+
+    A mask with no vertex (a ClusterGCN batch without training labels)
+    gives loss 0 and a zero gradient.
+    """
     d = np.zeros_like(logits)
+    idx = np.flatnonzero(mask)
+    if idx.size == 0:
+        return 0.0, d
+    probs = _softmax(logits)
+    loss = float(-np.log(np.maximum(probs[idx, y[idx]], 1e-12)).mean())
     d[idx] = probs[idx]
     d[idx, y[idx]] -= 1.0
-    return loss, d / n_eff
+    return loss, d / idx.size
 
 
 def train_sage(

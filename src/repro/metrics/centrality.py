@@ -1,7 +1,7 @@
 """Centrality metrics (§2.2.3, §2.2.5) and the top-k precision estimator.
 
-All four centralities here are fixed-point iterations expressed as
-DataFrame jobs over the adjacency:
+Four centralities; the first three are fixed-point iterations over the
+adjacency, each a ``step`` run by :func:`repro.core.iterate.loop`:
 
 * **PageRank** — power method with damping and dangling-mass
   redistribution (§2.2.5).
@@ -24,7 +24,7 @@ from pyspark.sql import DataFrame, Window
 from pyspark.sql import functions as F
 
 from repro.core.graph import Graph
-from repro.core.iterate import materialize
+from repro.core.iterate import loop, materialize
 from repro.metrics.paths import multi_source_distances
 
 
@@ -40,9 +40,9 @@ def pagerank(g: Graph, *, damping: float = 0.85, iters: int = 30) -> DataFrame:
         .select("src", "dst", (F.col("weight") / F.col("wsum")).alias("share"))
     )
     n = g.n
-    ranks = materialize(g.vertices().withColumn("score", F.lit(1.0 / n)))
     out_vertices = adj.select(F.col("src").alias("v")).distinct()
-    for _ in range(iters):
+
+    def step(ranks: DataFrame, i: int) -> DataFrame:
         contribs = (
             adj.join(ranks.withColumnRenamed("v", "src"), "src")
             .groupBy(F.col("dst").alias("v"))
@@ -53,17 +53,12 @@ def pagerank(g: Graph, *, damping: float = 0.85, iters: int = 30) -> DataFrame:
             or 0.0
         )
         base = (1.0 - damping) / n + damping * dangling / n
-        ranks = materialize(
-            g.vertices()
-            .join(contribs, "v", "left")
-            .select(
-                "v",
-                (F.lit(base) + damping * F.coalesce("contrib", F.lit(0.0))).alias(
-                    "score"
-                ),
-            )
+        return g.vertices().join(contribs, "v", "left").select(
+            "v",
+            (F.lit(base) + damping * F.coalesce("contrib", F.lit(0.0))).alias("score"),
         )
-    return ranks
+
+    return loop(g.vertices().withColumn("score", F.lit(1.0 / n)), step, max_iter=iters)
 
 
 def eigenvector_centrality(g: Graph, *, iters: int = 50, shift: float = 0.5) -> DataFrame:
@@ -74,8 +69,8 @@ def eigenvector_centrality(g: Graph, *, iters: int = 50, shift: float = 0.5) -> 
     iteration converges on bipartite(-ish) graphs too.
     """
     rev = materialize(g.reverse_adjacency())  # rows (src=head, dst=tail)
-    x = materialize(g.vertices().withColumn("score", F.lit(1.0)))
-    for _ in range(iters):
+
+    def step(x: DataFrame, i: int) -> DataFrame:
         agg = (
             rev.join(x.withColumnRenamed("v", "dst"), "dst")
             .groupBy(F.col("src").alias("v"))
@@ -94,8 +89,9 @@ def eigenvector_centrality(g: Graph, *, iters: int = 50, shift: float = 0.5) -> 
             )
         )
         norm = shifted.agg(F.sqrt(F.sum(F.col("raw") ** 2))).collect()[0][0] or 1.0
-        x = materialize(shifted.select("v", (F.col("raw") / norm).alias("score")))
-    return x
+        return shifted.select("v", (F.col("raw") / norm).alias("score"))
+
+    return loop(g.vertices().withColumn("score", F.lit(1.0)), step, max_iter=iters)
 
 
 def katz_centrality(g: Graph, *, alpha: float | None = None, iters: int = 40) -> DataFrame:
@@ -106,19 +102,20 @@ def katz_centrality(g: Graph, *, alpha: float | None = None, iters: int = 40) ->
         )
         alpha = 1.0 / (max_deg + 1.0)
     rev = materialize(g.reverse_adjacency())
-    x = materialize(g.vertices().withColumn("score", F.lit(0.0)))
-    for _ in range(iters):
+
+    def step(x: DataFrame, i: int) -> DataFrame:
         agg = (
             rev.join(x.withColumnRenamed("v", "dst"), "dst")
             .groupBy(F.col("src").alias("v"))
             .agg(F.sum(F.col("weight") * (F.col("score") + 1.0)).alias("walks"))
         )
-        x = materialize(
+        return (
             g.vertices()
             .join(agg, "v", "left")
             .select("v", (alpha * F.coalesce("walks", F.lit(0.0))).alias("score"))
         )
-    return x
+
+    return loop(g.vertices().withColumn("score", F.lit(0.0)), step, max_iter=iters)
 
 
 def closeness_approx(g: Graph, *, sources: list[int]) -> DataFrame:

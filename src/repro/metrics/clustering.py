@@ -109,17 +109,7 @@ def lpa_communities(g: Graph, *, max_iter: int = 10) -> DataFrame:
             .select("v", "label")
         )
 
-    def done(prev: DataFrame, new: DataFrame) -> bool:
-        changed = (
-            prev.withColumnRenamed("label", "pl")
-            .join(new, "v")
-            .where(F.col("pl") != F.col("label"))
-            .limit(1)
-            .count()
-        )
-        return changed == 0
-
-    return loop(state, step, max_iter=max_iter, done=done)
+    return loop(state, step, max_iter=max_iter, until_stable="label")
 
 
 def num_communities(g: Graph, *, max_iter: int = 10) -> int:

@@ -35,17 +35,7 @@ def connected_components(g: Graph, *, max_iter: int = 64) -> DataFrame:
             "v", F.least("comp", F.coalesce("nbr_comp", "comp")).alias("comp")
         )
 
-    def done(prev: DataFrame, new: DataFrame) -> bool:
-        changed = (
-            prev.withColumnRenamed("comp", "pc")
-            .join(new, "v")
-            .where(F.col("pc") != F.col("comp"))
-            .limit(1)
-            .count()
-        )
-        return changed == 0
-
-    return loop(state, step, max_iter=max_iter, done=done)
+    return loop(state, step, max_iter=max_iter, until_stable="comp")
 
 
 def component_sizes(g: Graph) -> DataFrame:

@@ -14,14 +14,9 @@ separately so the §4.5 "<20% unreachable" constraint can be applied.
 """
 from __future__ import annotations
 
-import sys
-
 import numpy as np
 
 from repro.core.graph import Graph
-
-# Dinic's DFS recurses once per path vertex; allow deep augmenting paths.
-sys.setrecursionlimit(max(sys.getrecursionlimit(), 20000))
 
 
 class _Dinic:
@@ -53,26 +48,40 @@ class _Dinic:
                     queue.append(v)
         return self.level[t] >= 0
 
-    def _dfs(self, u: int, t: int, f: float) -> float:
-        if u == t:
-            return f
-        while self.it[u] < len(self.head[u]):
-            e = self.head[u][self.it[u]]
-            v = self.to[e]
-            if self.cap[e] > 1e-12 and self.level[v] == self.level[u] + 1:
-                d = self._dfs(v, t, min(f, self.cap[e]))
-                if d > 1e-12:
-                    self.cap[e] -= d
-                    self.cap[e ^ 1] += d
-                    return d
-            self.it[u] += 1
-        return 0.0
+    def _augment(self, s: int, t: int) -> float:
+        """Push one augmenting path of the level graph; return its flow.
+
+        Depth-first with an explicit arc stack (paths can be as long as
+        the graph); each vertex's current-arc pointer ``it`` skips arcs
+        already found to lead nowhere in this phase.
+        """
+        path: list[int] = []
+        u = s
+        while u != t:
+            while self.it[u] < len(self.head[u]):
+                e = self.head[u][self.it[u]]
+                if self.cap[e] > 1e-12 and self.level[self.to[e]] == self.level[u] + 1:
+                    break
+                self.it[u] += 1
+            else:
+                if not path:
+                    return 0.0
+                u = self.to[path.pop() ^ 1]  # retreat to the arc's tail
+                self.it[u] += 1
+                continue
+            path.append(e)
+            u = self.to[e]
+        f = min(self.cap[e] for e in path)
+        for e in path:
+            self.cap[e] -= f
+            self.cap[e ^ 1] += f
+        return f
 
     def max_flow(self, s: int, t: int) -> float:
         flow = 0.0
         while self._bfs(s, t):
             self.it = [0] * self.n
-            while (f := self._dfs(s, t, float("inf"))) > 1e-12:
+            while (f := self._augment(s, t)) > 1e-12:
                 flow += f
         return flow
 

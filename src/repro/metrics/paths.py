@@ -105,17 +105,6 @@ def spsp_stretch(d0: DataFrame, d1: DataFrame) -> tuple[float, float]:
     return float(joined["stretch"] or np.nan), unreachable
 
 
-def eccentricities(g: Graph, *, sources: list[int], within: DataFrame | None = None) -> pd.DataFrame:
-    """Per-source eccentricity (max finite distance), optionally restricted
-    to the (s, v) pairs present in ``within`` (the original's reach)."""
-    d = multi_source_distances(g, sources)
-    if within is not None:
-        d = d.join(within.select("s", "v"), ["s", "v"], "left_semi")
-    return (
-        d.groupBy("s").agg(F.max("dist").alias("ecc")).toPandas().sort_values("s")
-    )
-
-
 def eccentricity_stretch(d0: DataFrame, d1: DataFrame) -> float:
     """Mean ecc_sparse/ecc_orig over the sources of the original's (``d0``)
     and the sparsified graph's (``d1``) :func:`multi_source_distances`, on

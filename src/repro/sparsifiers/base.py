@@ -9,6 +9,7 @@ Three ideas recur across the algorithms:
   some per-edge key (degree, similarity, random); an undirected edge gets
   the *minimum* of its two endpoint ranks, so "vertex keeps its top-r
   edges" becomes a single filter on the canonical edge list.
+  :func:`top_degree_power` solves the top-``deg**c`` family this way.
 * **Integer-threshold solving** — K-Neighbor-style sparsifiers control
   the prune rate through an integer knob (k, or a rank threshold); we
   pick the knob value whose kept-edge count is closest to the target from
@@ -32,19 +33,19 @@ def take_k(edges: DataFrame, k: int, order_cols: list) -> DataFrame:
     return edges.orderBy(*order_cols).limit(k).select("src", "dst", "weight")
 
 
-def incidence_ranked(g: Graph, key_col, *, seed_cols: list | None = None) -> DataFrame:
-    """Adjacency rows ranked per vertex by ``key_col`` ascending.
+def incidence_ranked(inc: DataFrame, key_col) -> DataFrame:
+    """Incidence rows ranked per vertex by ``key_col`` ascending.
 
-    Returns DataFrame[src, dst, weight, deg, rank]: one row per (vertex,
-    incident edge) — two rows per undirected edge, one per directed edge.
-    ``rank`` is 1-based within each ``src``; ``deg`` is the vertex degree
-    (out-degree for directed graphs). Ties are broken by ``dst``.
+    ``inc`` holds one row per (vertex ``src``, incident edge) — two rows
+    per undirected edge, one per directed edge, as :meth:`Graph.adjacency`.
+    Adds ``rank``, 1-based within each ``src`` (ties broken by ``dst``),
+    and ``deg``, the vertex degree (out-degree for directed graphs).
     """
-    adj = g.adjacency().withColumn("_key", key_col)
     w_rank = Window.partitionBy("src").orderBy(F.col("_key"), F.col("dst"))
     w_deg = Window.partitionBy("src")
     return (
-        adj.withColumn("rank", F.row_number().over(w_rank))
+        inc.withColumn("_key", key_col)
+        .withColumn("rank", F.row_number().over(w_rank))
         .withColumn("deg", F.count("*").over(w_deg))
         .drop("_key")
     )
@@ -74,6 +75,39 @@ def canonical_min_rank(g: Graph, ranked: DataFrame, extra_min: list[str] = ()) -
         .groupBy("src", "dst", "weight")
         .agg(*aggs)
     )
+
+
+def top_degree_power(
+    g: Graph, inc: DataFrame, k_target: int, *, pref_breaks_ties: bool = False
+) -> DataFrame:
+    """Per-vertex top-``deg**c`` selection, ``c`` solved for ``k_target``.
+
+    The rule of Local Degree, L-Spar and Local Similarity (§2.3.4,
+    §2.3.8): each vertex keeps its ``deg**c`` most preferred incident
+    edges. ``inc`` is incidence rows (see :func:`incidence_ranked`) with a
+    ``pref`` column, higher preferred. A vertex keeps its rank-``r`` edge
+    iff ``c >= log(r)/log(deg)``, so each incidence has a required
+    exponent; an undirected edge's requirement is the min over its
+    endpoints, and the ``k_target`` edges with the smallest requirement
+    are the family member with the target prune rate. Rank-1 edges
+    require ``c = 0``, so the family has a maximum prune rate (§3.2):
+    never keep fewer edges than that, and every vertex keeps an edge at
+    any rho. Equal requirements go to the higher ``pref`` when
+    ``pref_breaks_ties`` (``pref`` must then agree across endpoints), then
+    to ids. Returns the kept DataFrame[src, dst, weight].
+    """
+    ranked = incidence_ranked(inc, -F.col("pref")).withColumn(
+        "c_req",
+        F.when((F.col("rank") == 1) | (F.col("deg") <= 1), F.lit(0.0)).otherwise(
+            F.log(F.col("rank").cast("double")) / F.log(F.col("deg").cast("double"))
+        ),
+    )
+    edge_req = canonical_min_rank(g, ranked, extra_min=["c_req", "pref"]).localCheckpoint(
+        eager=True
+    )
+    floor = edge_req.where(F.col("c_req") <= 0.0).count()
+    ties = [F.col("pref").desc()] if pref_breaks_ties else []
+    return take_k(edge_req, max(k_target, floor), [F.col("c_req"), *ties, "src", "dst"])
 
 
 def best_int_threshold(ranked_edges: DataFrame, k_target: int) -> int:

@@ -29,7 +29,7 @@ def kneighbor_sparsify(g: Graph, rho: float, *, seed: int = 0) -> Graph:
     k_target = target_edges(g.m, rho)
     # Key ascending == weight-proportional sampling order per vertex.
     key = -F.log(F.rand(seed) + F.lit(1e-12)) / F.col("weight")
-    ranked = incidence_ranked(g, key)
+    ranked = incidence_ranked(g.adjacency(), key)
     edge_rank = canonical_min_rank(g, ranked).localCheckpoint(eager=True)
     k = best_int_threshold(edge_rank, k_target)
     kept = edge_rank.where(F.col("rank") <= k).select("src", "dst", "weight")

@@ -1,51 +1,24 @@
 """Local Degree sparsifier (LD, §2.3.4), deterministic.
 
 For each vertex ``v``, keep edges to the top ``deg(v)**alpha`` neighbors
-ranked by neighbor degree descending. Instead of sweeping ``alpha``, note
-that vertex ``v`` keeps its rank-``r`` edge iff ``r <= deg(v)**alpha``,
-i.e. ``alpha >= log(r)/log(deg(v))``. Each incidence therefore has a
-*required alpha*; an undirected edge's requirement is the min over its
-endpoints, and choosing the ``(1-rho)|E|`` edges with the smallest
-requirement is exactly the Local Degree family solved for the target
-prune rate. Rank-1 edges have requirement 0, so every vertex keeps at
-least one edge — the connectivity property the paper highlights.
+ranked by neighbor degree descending, with ``alpha`` solved for the
+target prune rate by :func:`repro.sparsifiers.base.top_degree_power`.
+Rank-1 edges need ``alpha = 0``, so every vertex keeps at least one
+edge — the connectivity property the paper highlights.
 """
 from __future__ import annotations
 
-from pyspark.sql import Window
-from pyspark.sql import functions as F
-
 from repro.core.graph import Graph
-from repro.sparsifiers.base import canonical_min_rank, take_k, target_edges
+from repro.sparsifiers.base import target_edges, top_degree_power
 
 
 def local_degree_sparsify(g: Graph, rho: float, *, seed: int = 0) -> Graph:
     """Deterministic top-``deg**alpha`` neighbor selection, alpha solved."""
-    k_target = target_edges(g.m, rho)
     deg_of_dst = (
         g.degrees(include_zero=False)
         .withColumnRenamed("v", "dst")
-        .withColumnRenamed("degree", "nbr_deg")
+        .withColumnRenamed("degree", "pref")
     )
-    adj = g.adjacency().join(deg_of_dst, "dst").select("src", "dst", "weight", "nbr_deg")
-    w_rank = Window.partitionBy("src").orderBy(F.col("nbr_deg").desc(), F.col("dst"))
-    w_deg = Window.partitionBy("src")
-    ranked = (
-        adj.withColumn("rank", F.row_number().over(w_rank))
-        .withColumn("deg", F.count("*").over(w_deg))
-        .withColumn(
-            "alpha_req",
-            F.when(
-                (F.col("rank") == 1) | (F.col("deg") <= 1), F.lit(0.0)
-            ).otherwise(F.log(F.col("rank").cast("double")) / F.log(F.col("deg").cast("double"))),
-        )
-    )
-    edge_req = canonical_min_rank(g, ranked, extra_min=["alpha_req"]).localCheckpoint(
-        eager=True
-    )
-    # Local Degree has a *maximum* prune rate (§3.2): alpha=0 still keeps
-    # every vertex's top edge. Never prune below that floor, so the
-    # every-vertex-keeps-an-edge guarantee holds at any requested rho.
-    floor = edge_req.where(F.col("alpha_req") <= 0.0).count()
-    kept = take_k(edge_req, max(k_target, floor), [F.col("alpha_req"), "src", "dst"])
+    inc = g.adjacency().join(deg_of_dst, "dst").select("src", "dst", "weight", "pref")
+    kept = top_degree_power(g, inc, target_edges(g.m, rho))
     return g.with_edges(kept, name=f"{g.name}|LD@{rho:.2f}")

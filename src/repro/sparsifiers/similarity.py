@@ -14,22 +14,22 @@ DataFrame self-joins over the adjacency:
 *Global* sparsifiers (G-Spar, SCAN) keep the globally best-scored edges;
 *local* ones (L-Spar, Local Similarity) rank each vertex's incident
 edges and keep every vertex's top ``deg**c``, with ``c`` solved for the
-target prune rate exactly like Local Degree (see
-:mod:`repro.sparsifiers.local_degree`). Directed graphs use out-neighbor
-sets (Table 2 footnote).
+target prune rate by the rule Local Degree uses
+(:func:`repro.sparsifiers.base.top_degree_power`). Directed graphs use
+out-neighbor sets (Table 2 footnote).
 """
 from __future__ import annotations
 
 import functools
 import operator
 
-from pyspark.sql import DataFrame, Window
+from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
 from repro.core.graph import Graph
 from repro.core.iterate import materialize
 from repro.metrics.clustering import edge_common_neighbors
-from repro.sparsifiers.base import take_k, target_edges
+from repro.sparsifiers.base import take_k, target_edges, top_degree_power
 
 
 def edge_scores(g: Graph) -> DataFrame:
@@ -94,58 +94,14 @@ def minhash_jaccard_scores(g: Graph, *, k_hashes: int = 8, seed: int = 0) -> Dat
     )
 
 
-def _local_select(g: Graph, scored: DataFrame, k_target: int, label: str) -> Graph:
-    """Per-vertex top-``deg**c`` selection by score, ``c`` solved for rate.
-
-    ``scored`` is canonical edges with a ``jaccard`` column. The required
-    exponent for each incidence is ``log(rank)/log(deg)`` (rank by score
-    descending); an edge's requirement is the min across endpoints; keep
-    the ``k_target`` lowest-requirement edges (ties by score desc, id).
-    """
-    base = scored.select("src", "dst", "weight", "jaccard")
+def _incidence(g: Graph, scored: DataFrame) -> DataFrame:
+    """Incidence rows of canonical ``scored`` edges, Jaccard as ``pref``."""
+    e = scored.select("src", "dst", "weight", F.col("jaccard").alias("pref"))
     if g.directed:
-        inc = base
-    else:
-        inc = base.unionByName(
-            base.select(
-                F.col("dst").alias("src"), F.col("src").alias("dst"),
-                "weight", "jaccard",
-            )
-        )
-    w_rank = Window.partitionBy("src").orderBy(F.col("jaccard").desc(), F.col("dst"))
-    w_deg = Window.partitionBy("src")
-    ranked = (
-        inc.withColumn("rank", F.row_number().over(w_rank))
-        .withColumn("deg", F.count("*").over(w_deg))
-        .withColumn(
-            "c_req",
-            F.when((F.col("rank") == 1) | (F.col("deg") <= 1), F.lit(0.0)).otherwise(
-                F.log(F.col("rank").cast("double"))
-                / F.log(F.col("deg").cast("double"))
-            ),
-        )
+        return e
+    return e.unionByName(
+        e.select(F.col("dst").alias("src"), F.col("src").alias("dst"), "weight", "pref")
     )
-    if g.directed:
-        edge_req = ranked.select("src", "dst", "weight", "jaccard", "c_req")
-    else:
-        edge_req = (
-            ranked.select(
-                F.least("src", "dst").alias("src"),
-                F.greatest("src", "dst").alias("dst"),
-                "weight", "jaccard", "c_req",
-            )
-            .groupBy("src", "dst", "weight")
-            .agg(F.min("c_req").alias("c_req"), F.max("jaccard").alias("jaccard"))
-        )
-    edge_req = edge_req.localCheckpoint(eager=True)
-    # Like Local Degree, local similarity sparsifiers have a maximum
-    # prune rate (§3.2): c=0 still keeps every vertex's top-scored edge.
-    floor = edge_req.where(F.col("c_req") <= 0.0).count()
-    kept = take_k(
-        edge_req, max(k_target, floor),
-        [F.col("c_req"), F.col("jaccard").desc(), "src", "dst"],
-    )
-    return g.with_edges(kept, name=f"{g.name}|{label}")
 
 
 def g_spar_sparsify(g: Graph, rho: float, *, seed: int = 0) -> Graph:
@@ -167,9 +123,9 @@ def scan_sparsify(g: Graph, rho: float, *, seed: int = 0) -> Graph:
 def local_similarity_sparsify(g: Graph, rho: float, *, seed: int = 0) -> Graph:
     """Local Similarity: per-vertex log(rank)/log(deg) over exact Jaccard."""
     k = target_edges(g.m, rho)
-    scored = materialize(edge_scores(g))
-    out = _local_select(g, scored, k, f"LSim@{rho:.2f}")
-    return out
+    inc = _incidence(g, materialize(edge_scores(g)))
+    kept = top_degree_power(g, inc, k, pref_breaks_ties=True)
+    return g.with_edges(kept, name=f"{g.name}|LSim@{rho:.2f}")
 
 
 def l_spar_sparsify(g: Graph, rho: float, *, seed: int = 0, k_hashes: int = 8) -> Graph:
@@ -181,4 +137,5 @@ def l_spar_sparsify(g: Graph, rho: float, *, seed: int = 0, k_hashes: int = 8) -
     """
     k = target_edges(g.m, rho)
     scored = materialize(minhash_jaccard_scores(g, k_hashes=k_hashes, seed=0x5EED))
-    return _local_select(g, scored, k, f"LS@{rho:.2f}")
+    kept = top_degree_power(g, _incidence(g, scored), k, pref_breaks_ties=True)
+    return g.with_edges(kept, name=f"{g.name}|LS@{rho:.2f}")

@@ -1,8 +1,15 @@
 """Tests for the Dinic max-flow substrate against networkx."""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import networkx as nx
 import numpy as np
+import pandas as pd
 import pytest
 
+from repro.core.graph import Graph
 from repro.metrics import flow
 from tests.conftest import to_nx
 
@@ -39,6 +46,23 @@ class TestDinic:
     def test_complete_graph(self, complete_graph):
         # K6 with unit capacities: max flow between any pair = 5
         assert flow.max_flow_values(complete_graph, [(0, 3)])[0] == 5.0
+
+
+    def test_long_path_needs_no_recursion_limit(self, spark):
+        n = 25_000
+        pdf = pd.DataFrame({"src": range(n - 1), "dst": range(1, n)})
+        g = Graph.from_pandas(spark, pdf, directed=False, weighted=False, n=n, name="path25k")
+        assert flow.max_flow_values(g, [(0, n - 1)]).tolist() == [1.0]
+
+    def test_import_keeps_recursion_limit(self):
+        src_dir = Path(flow.__file__).parents[2]
+        code = (
+            "import sys; before = sys.getrecursionlimit(); "
+            "import repro.metrics.flow; "
+            "assert sys.getrecursionlimit() == before, sys.getrecursionlimit()"
+        )
+        env = {**os.environ, "PYTHONPATH": str(src_dir)}
+        subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
 class TestSamplePairs:

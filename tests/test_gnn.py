@@ -125,6 +125,15 @@ class TestGradients:
             assert np.abs(grad - num).max() < 1e-4
 
 
+    @pytest.mark.filterwarnings("error")
+    def test_empty_mask_zero_loss_and_gradient(self):
+        logits = np.random.default_rng(5).standard_normal((6, 3))
+        y = np.zeros(6, dtype=np.int64)
+        loss, d = models.cross_entropy_grad(logits, y, np.zeros(6, dtype=bool))
+        assert loss == 0.0
+        assert d.shape == logits.shape and not d.any()
+
+
 class TestTraining:
     def test_sage_learns_sbm(self):
         from repro.graphs.generators import sbm

@@ -3,6 +3,7 @@ eccentricity, approximate diameter) against networkx."""
 import networkx as nx
 import numpy as np
 import pytest
+from pyspark.sql import functions as F
 
 from repro.metrics import paths
 from tests.conftest import to_nx
@@ -98,12 +99,20 @@ class TestSpspStretch:
 class TestEccentricity:
     def test_matches_networkx(self, tiny_undirected):
         g = tiny_undirected
-        G = to_nx(g)
+        h = g.with_edges(g.edges.where((F.col("src") + F.col("dst")) % 3 != 0))
+        G, H = to_nx(g), to_nx(h)
         srcs = paths.sample_sources(g, 5, seed=2)
-        ecc = paths.eccentricities(g, sources=srcs).set_index("s")["ecc"]
-        ref = nx.eccentricity(G)
-        for s in srcs:
-            assert ecc.loc[s] == ref[s]
+        d0 = paths.multi_source_distances(g, srcs)
+        d1 = paths.multi_source_distances(h, srcs)
+        # H is a subgraph of the connected G, so its reach from s lies
+        # within G's and its eccentricity is the farthest vertex it reaches.
+        ratios = [
+            max(nx.single_source_shortest_path_length(H, s).values())
+            / nx.eccentricity(G, v=s)
+            for s in srcs
+        ]
+        assert np.mean(ratios) > 1.0
+        assert paths.eccentricity_stretch(d0, d1) == pytest.approx(np.mean(ratios))
 
     def test_stretch_identity(self, tiny_undirected):
         srcs = paths.sample_sources(tiny_undirected, 4, seed=0)
