@@ -11,9 +11,9 @@ records their output against the paper's reported shapes.
 Sampled estimators precompute the original graph's side once per figure
 (distances, centrality scores, reference clusterings) and reuse it for
 every sparsified graph, exactly as the paper compares everything against
-a single full-graph ground truth. The loop kernels and
-``paths.multi_source_distances`` return checkpointed frames already;
-only the lazy betweenness and closeness references are materialized here.
+a single full-graph ground truth. The top-k precision figures (5, 6, 7,
+11) keep only the original's top-k vertex set. ``datasets.load`` returns
+each graph cached and counted.
 """
 from __future__ import annotations
 
@@ -22,7 +22,6 @@ from pyspark.sql import SparkSession
 
 from repro.core.experiment import run_sweep, sparsify_timed
 from repro.core.graph import Graph
-from repro.core.iterate import materialize
 from repro.core.registry import METRICS, SPARSIFIERS
 from repro.core.tables import pivot_sweep
 from repro.graphs import datasets
@@ -40,13 +39,6 @@ from repro.metrics import (
 )
 
 DEFAULT_RHOS = [0.1, 0.3, 0.5, 0.7, 0.9]
-
-
-def _g(spark: SparkSession, name: str, scale: float, seed: int) -> datasets.Dataset:
-    ds = datasets.load(spark, name, scale=scale, seed=seed)
-    ds.graph.edges.cache()
-    _ = ds.graph.m
-    return ds
 
 
 def _topk_for(g: Graph, k: int) -> int:
@@ -80,7 +72,7 @@ def table2_sparsifier_characteristics(
     once with another seed; achieved prune rate and weight changes are
     measured from the outputs.
     """
-    ds = _g(spark, "astroph_lite", scale, seed)
+    ds = datasets.load(spark, "astroph_lite", scale=scale, seed=seed)
     g = ds.graph
     orig_w = {
         (r["src"], r["dst"]): r["weight"] for r in g.symmetrized().edges.collect()
@@ -121,7 +113,7 @@ def table3_datasets(
     """Table 3: the 14 stand-ins with measured stats."""
     rows = []
     for name in datasets.LOADERS:
-        ds = _g(spark, name, scale, seed)
+        ds = datasets.load(spark, name, scale=scale, seed=seed)
         g = ds.graph
         pairs = g.n * (g.n - 1) if g.directed else g.n * (g.n - 1) / 2
         rows.append(
@@ -151,7 +143,7 @@ def fig01_connectivity(
     dataset: str = "astroph_lite",
 ) -> dict[str, pd.DataFrame]:
     """Fig 1: pair-unreachable and vertex-isolated ratio vs prune rate."""
-    g = _g(spark, dataset, scale, seed).graph
+    g = datasets.load(spark, dataset, scale=scale, seed=seed).graph
 
     def metric(h: Graph) -> dict[str, float]:
         return {
@@ -181,7 +173,7 @@ def fig02_degree_distribution(
     dataset: str = "proteins_lite",
 ) -> dict[str, pd.DataFrame]:
     """Fig 2: Bhattacharyya distance of degree distributions (lower=better)."""
-    g = _g(spark, dataset, scale, seed).graph
+    g = datasets.load(spark, dataset, scale=scale, seed=seed).graph
     p = degree.degree_histogram(g)
 
     def metric(h: Graph) -> dict[str, float]:
@@ -201,7 +193,7 @@ def fig03_quadratic_form(
     dataset: str = "amazon_lite", k_vectors: int = 100,
 ) -> dict[str, pd.DataFrame]:
     """Fig 3: mean Laplacian quadratic form ratio (closer to 1 is better)."""
-    g = _g(spark, dataset, scale, seed).graph
+    g = datasets.load(spark, dataset, scale=scale, seed=seed).graph
     vectors = quadratic.random_vectors(g.n, k_vectors, seed=seed)
     qf0 = quadratic.quadratic_forms(g, vectors)
 
@@ -226,7 +218,7 @@ def fig04_distance(
     diam_sparsifiers=FIG4C_SPARSIFIERS,
 ) -> dict[str, pd.DataFrame]:
     """Fig 4: (a) SPSP stretch, (b) eccentricity stretch, (c) diameter."""
-    g = _g(spark, dataset_ab, scale, seed).graph
+    g = datasets.load(spark, dataset_ab, scale=scale, seed=seed).graph
     sources = paths.sample_sources(g, n_sources, seed=seed)
     d0 = paths.multi_source_distances(g, sources)
 
@@ -241,7 +233,7 @@ def fig04_distance(
 
     res = run_sweep(g, sparsifiers, rhos, metric, n_runs=n_runs, base_seed=seed)
 
-    gc = _g(spark, dataset_c, scale, seed).graph
+    gc = datasets.load(spark, dataset_c, scale=scale, seed=seed).graph
     diam_orig = paths.approx_diameter(gc, n_seeds=diameter_seeds, seed=seed)
 
     def metric_diam(h: Graph) -> dict[str, float]:
@@ -272,10 +264,12 @@ def fig05_betweenness_closeness(
     """Fig 5: top-k precision of betweenness (a) and closeness (b)."""
     outputs: dict[str, pd.DataFrame] = {}
 
-    g_b = _g(spark, dataset_bet, scale, seed).graph
+    g_b = datasets.load(spark, dataset_bet, scale=scale, seed=seed).graph
     k_b = _topk_for(g_b, top_k)
     sources_b = paths.sample_sources(g_b, n_sources, seed=seed)
-    ref_b = materialize(betweenness.betweenness_scores(g_b, sources=sources_b))
+    ref_b = centrality.top_k(
+        betweenness.betweenness_scores(g_b, sources=sources_b), k_b
+    )
 
     def metric_b(h: Graph) -> dict[str, float]:
         sc = betweenness.betweenness_scores(h, sources=sources_b)
@@ -285,10 +279,10 @@ def fig05_betweenness_closeness(
     outputs["betweenness_p"] = pivot_sweep(res_b, "betweenness_p")
     outputs["raw_betweenness"] = res_b
 
-    g_c = _g(spark, dataset_clo, scale, seed).graph
+    g_c = datasets.load(spark, dataset_clo, scale=scale, seed=seed).graph
     k_c = _topk_for(g_c, top_k)
     sources_c = paths.sample_sources(g_c, n_sources, seed=seed)
-    ref_c = materialize(centrality.closeness_approx(g_c, sources=sources_c))
+    ref_c = centrality.top_k(centrality.closeness_approx(g_c, sources=sources_c), k_c)
 
     def metric_c(h: Graph) -> dict[str, float]:
         sc = centrality.closeness_approx(h, sources=sources_c)
@@ -310,9 +304,9 @@ def fig06_eigenvector(
     top_k: int = 100, dataset: str = "enron_lite", iters: int = 40,
 ) -> dict[str, pd.DataFrame]:
     """Fig 6: eigenvector centrality top-k precision."""
-    g = _g(spark, dataset, scale, seed).graph
+    g = datasets.load(spark, dataset, scale=scale, seed=seed).graph
     k = _topk_for(g, top_k)
-    ref = centrality.eigenvector_centrality(g, iters=iters)
+    ref = centrality.top_k(centrality.eigenvector_centrality(g, iters=iters), k)
 
     def metric(h: Graph) -> dict[str, float]:
         sc = centrality.eigenvector_centrality(h, iters=iters)
@@ -332,9 +326,9 @@ def fig07_katz(
     top_k: int = 100, dataset: str = "twitter_lite", iters: int = 30,
 ) -> dict[str, pd.DataFrame]:
     """Fig 7: Katz centrality top-k precision (directed graph)."""
-    g = _g(spark, dataset, scale, seed).graph
+    g = datasets.load(spark, dataset, scale=scale, seed=seed).graph
     k = _topk_for(g, top_k)
-    ref = centrality.katz_centrality(g, iters=iters)
+    ref = centrality.top_k(centrality.katz_centrality(g, iters=iters), k)
 
     def metric(h: Graph) -> dict[str, float]:
         sc = centrality.katz_centrality(h, iters=iters)
@@ -354,7 +348,7 @@ def fig08_communities(
     dataset: str = "dblp_lite",
 ) -> dict[str, pd.DataFrame]:
     """Fig 8: number of LPA communities vs prune rate."""
-    g = _g(spark, dataset, scale, seed).graph
+    g = datasets.load(spark, dataset, scale=scale, seed=seed).graph
     ref = clustering.num_communities(g)
 
     def metric(h: Graph) -> dict[str, float]:
@@ -378,7 +372,7 @@ def fig09_clustering_coefficients(
     dataset_mcc: str = "amazon_lite", dataset_gcc: str = "gene_lite",
 ) -> dict[str, pd.DataFrame]:
     """Fig 9: (a) mean and (b) global clustering coefficient vs rho."""
-    g_m = _g(spark, dataset_mcc, scale, seed).graph
+    g_m = datasets.load(spark, dataset_mcc, scale=scale, seed=seed).graph
     mcc_orig = clustering.mean_clustering_coefficient(g_m)
 
     def metric_m(h: Graph) -> dict[str, float]:
@@ -386,7 +380,7 @@ def fig09_clustering_coefficients(
 
     res_m = run_sweep(g_m, sparsifiers, rhos, metric_m, n_runs=n_runs, base_seed=seed)
 
-    g_g = _g(spark, dataset_gcc, scale, seed).graph
+    g_g = datasets.load(spark, dataset_gcc, scale=scale, seed=seed).graph
     gcc_orig = clustering.global_clustering_coefficient(g_g)
 
     def metric_g(h: Graph) -> dict[str, float]:
@@ -412,7 +406,7 @@ def fig10_clustering_f1(
     dataset: str = "hepph_lite",
 ) -> dict[str, pd.DataFrame]:
     """Fig 10: clustering F1 similarity vs the original graph's clustering."""
-    g = _g(spark, dataset, scale, seed).graph
+    g = datasets.load(spark, dataset, scale=scale, seed=seed).graph
     ref_labels = clustering.lpa_communities(g)
 
     def metric(h: Graph) -> dict[str, float]:
@@ -442,9 +436,9 @@ def fig11_pagerank(
         ("a", dataset_a, sparsifiers_a),
         ("b", dataset_b, sparsifiers_b),
     ):
-        g = _g(spark, name, scale, seed).graph
+        g = datasets.load(spark, name, scale=scale, seed=seed).graph
         k = _topk_for(g, top_k)
-        ref = centrality.pagerank(g, iters=iters)
+        ref = centrality.top_k(centrality.pagerank(g, iters=iters), k)
 
         def metric(h: Graph, _ref=ref, _k=k) -> dict[str, float]:
             sc = centrality.pagerank(h, iters=iters)
@@ -466,7 +460,7 @@ def fig12_mincut_maxflow(
     n_pairs: int = 24, dataset: str = "hepph_lite",
 ) -> dict[str, pd.DataFrame]:
     """Fig 12: mean max-flow stretch over sampled pairs (closer to 1 best)."""
-    g = _g(spark, dataset, scale, seed).graph
+    g = datasets.load(spark, dataset, scale=scale, seed=seed).graph
     pairs = flow.sample_pairs(g, n_pairs, seed=seed)
     f0 = flow.max_flow_values(g, pairs)
 
@@ -496,7 +490,7 @@ def fig13_gnn(
     graphs, tested on the full graph; green/red reference lines included."""
     out: dict[str, pd.DataFrame] = {}
 
-    ds_a = _g(spark, dataset_sage, scale, seed)
+    ds_a = datasets.load(spark, dataset_sage, scale=scale, seed=seed)
     data_a = make_node_data(ds_a.labels, seed=seed, signal=signal)
     full_a = eval_graphsage(ds_a.graph, ds_a.graph, data_a, seed=seed, epochs=epochs_sage)
     mlp_a = eval_graphsage(
@@ -512,7 +506,7 @@ def fig13_gnn(
     out["sage_acc"] = pivot_sweep(res_a, "sage_acc")
     out["raw_sage"] = res_a
 
-    ds_b = _g(spark, dataset_cgcn, scale, seed)
+    ds_b = datasets.load(spark, dataset_cgcn, scale=scale, seed=seed)
     data_b = make_node_data(ds_b.labels, seed=seed, signal=signal)
     full_b = eval_cluster_gcn(ds_b.graph, ds_b.graph, data_b, seed=seed, epochs=epochs_cgcn)
     mlp_b = eval_cluster_gcn(
@@ -549,7 +543,7 @@ def fig14_sparsification_time(
     dataset: str = "proteins_lite",
 ) -> dict[str, pd.DataFrame]:
     """Fig 14: sparsification wall time per sparsifier and prune rate."""
-    g = _g(spark, dataset, scale, seed).graph
+    g = datasets.load(spark, dataset, scale=scale, seed=seed).graph
 
     def metric(h: Graph) -> dict[str, float]:
         return {}

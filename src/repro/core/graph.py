@@ -137,17 +137,15 @@ class Graph:
         )
 
     def degrees(self, *, include_zero: bool = True) -> DataFrame:
-        """DataFrame[v, degree] of out-degrees (degree, if undirected)."""
-        d = self.adjacency().groupBy(F.col("src").alias("v")).agg(
-            F.count("*").alias("degree")
-        )
-        if not include_zero:
-            return d
-        return (
-            self.vertices()
-            .join(d, "v", "left")
-            .select("v", F.coalesce("degree", F.lit(0)).alias("degree"))
-        )
+        """DataFrame[v, degree] of out-degrees (degree, if undirected).
+
+        ``include_zero`` adds a zero row per vertex to the same aggregate,
+        so vertices with no incident edge appear with degree 0.
+        """
+        rows = self.adjacency().select(F.col("src").alias("v"), F.lit(1).alias("d"))
+        if include_zero:
+            rows = rows.unionByName(self.vertices().select("v", F.lit(0).alias("d")))
+        return rows.groupBy("v").agg(F.sum("d").alias("degree"))
 
     def symmetrized(self) -> "Graph":
         """Undirected version per §3.1 (adds dst→src edges, merges dups)."""

@@ -11,6 +11,12 @@ supersteps. :func:`loop` owns what they share:
 * **Convergence** — the optional stop test is one cheap ``limit(1)``
   job per round: has any row of the named column changed?
 
+At lite scale a round costs its Spark jobs, so a step is one aggregate
+over the union of its messages and one self row per vertex (which keeps
+every vertex without a join against the vertex set). A per-round scalar
+is read from the checkpointed state with a filter or a one-partition
+aggregate, which needs no shuffle.
+
 The frontier loops of :mod:`repro.metrics.paths` and
 :mod:`repro.metrics.betweenness` carry a frontier beside their state and
 run their own rounds.

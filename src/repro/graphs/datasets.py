@@ -43,19 +43,18 @@ def _sc(x: int, scale: float, lo: int = 16) -> int:
 
 def _two_components(
     builder: Callable[[int, int], pd.DataFrame], n_main: int, n_small: int, seed: int
-) -> tuple[pd.DataFrame, int]:
+) -> pd.DataFrame:
     """Build a main component plus a small disconnected one (offset ids)."""
     e1 = builder(n_main, seed)
     e2 = builder(n_small, seed + 1)
     e2[["src", "dst"]] += n_main
-    return pd.concat([e1, e2], ignore_index=True), n_main + n_small
+    return pd.concat([e1, e2], ignore_index=True)
 
 
 def _finish(
     spark: SparkSession,
     edges: pd.DataFrame,
     *,
-    n: int,
     name: str,
     category: str,
     mimics: str,
@@ -64,13 +63,13 @@ def _finish(
     connected: bool,
     labels: np.ndarray | None = None,
 ) -> Dataset:
-    g = Graph.from_pandas(
-        spark, edges, directed=directed, weighted=weighted, n=n, name=name
-    )
-    g, old_ids = drop_isolated_and_reindex(g)
+    edges, old_ids = drop_isolated_and_reindex(edges)
     if labels is not None:
         labels = labels[old_ids]
-    g.edges.cache()
+    g = Graph.from_pandas(
+        spark, edges, directed=directed, weighted=weighted, n=len(old_ids), name=name
+    ).cache()
+    _ = g.m
     return Dataset(
         name=name,
         category=category,
@@ -85,7 +84,7 @@ def facebook_lite(spark: SparkSession, *, scale: float = 1.0, seed: int = 0) -> 
     n = _sc(700, scale)
     e = gen.barabasi_albert(n, min(12, n // 4), seed=seed)
     return _finish(
-        spark, e, n=n, name="facebook_lite", category="Social Network",
+        spark, e, name="facebook_lite", category="Social Network",
         mimics="ego-Facebook", directed=False, weighted=False, connected=True,
     )
 
@@ -94,7 +93,7 @@ def twitter_lite(spark: SparkSession, *, scale: float = 1.0, seed: int = 0) -> D
     n = _sc(2000, scale)
     e = gen.powerlaw_directed(n, _sc(16000, scale), seed=seed)
     return _finish(
-        spark, e, n=n, name="twitter_lite", category="Social Network",
+        spark, e, name="twitter_lite", category="Social Network",
         mimics="ego-Twitter", directed=True, weighted=False, connected=False,
     )
 
@@ -106,7 +105,7 @@ def gene_lite(spark: SparkSession, *, scale: float = 1.0, seed: int = 0) -> Data
     e2[["src", "dst"]] += n_main
     e = pd.concat([e1, e2], ignore_index=True)
     return _finish(
-        spark, e, n=n_main + n_small, name="gene_lite", category="gene",
+        spark, e, name="gene_lite", category="gene",
         mimics="human_gene2", directed=False, weighted=True, connected=False,
     )
 
@@ -124,7 +123,7 @@ def _sbm_dataset(
     )
     e = gen.connect_components(e, n, seed=seed)
     return _finish(
-        spark, e, n=n, name=name, category=category, mimics=mimics,
+        spark, e, name=name, category=category, mimics=mimics,
         directed=False, weighted=False, connected=True, labels=labels,
     )
 
@@ -146,23 +145,23 @@ def amazon_lite(spark: SparkSession, *, scale: float = 1.0, seed: int = 0) -> Da
 
 
 def enron_lite(spark: SparkSession, *, scale: float = 1.0, seed: int = 0) -> Dataset:
-    e, n = _two_components(
+    e = _two_components(
         lambda n_, s: gen.holme_kim(n_, 4, 0.4, seed=s),
         _sc(1100, scale), _sc(90, scale, lo=8), seed,
     )
     return _finish(
-        spark, e, n=n, name="enron_lite", category="communication",
+        spark, e, name="enron_lite", category="communication",
         mimics="email-Enron", directed=False, weighted=False, connected=False,
     )
 
 
 def astroph_lite(spark: SparkSession, *, scale: float = 1.0, seed: int = 0) -> Dataset:
-    e, n = _two_components(
+    e = _two_components(
         lambda n_, s: gen.holme_kim(n_, min(7, n_ // 4), 0.8, seed=s),
         _sc(1400, scale), _sc(80, scale, lo=8), seed,
     )
     return _finish(
-        spark, e, n=n, name="astroph_lite", category="collaboration",
+        spark, e, name="astroph_lite", category="collaboration",
         mimics="ca-AstroPh", directed=False, weighted=False, connected=False,
     )
 
@@ -184,7 +183,7 @@ def hepph_lite(spark: SparkSession, *, scale: float = 1.0, seed: int = 0) -> Dat
     e2[["src", "dst"]] += n_main
     e = pd.concat([e1, e2], ignore_index=True)
     return _finish(
-        spark, e, n=n_main + n_small, name="hepph_lite", category="collaboration",
+        spark, e, name="hepph_lite", category="collaboration",
         mimics="ca-HepPh", directed=False, weighted=False, connected=False,
     )
 
@@ -196,7 +195,7 @@ def _web_dataset(
     bits = max(7, 11 + int(np.floor(np.log2(max(scale, 1e-6)))))
     e = gen.rmat(bits, _sc(m0, scale), a=a, b=b, c=c, seed=seed)
     return _finish(
-        spark, e, n=2**bits, name=name, category="web", mimics=mimics,
+        spark, e, name=name, category="web", mimics=mimics,
         directed=True, weighted=False, connected=False,
     )
 

@@ -1,15 +1,21 @@
-"""Graph preparation pipeline (paper §3.1) as DataFrame jobs.
+"""Graph preparation pipeline (paper §3.1).
 
 1. Remove isolated vertices (no incident edge) and reindex the remaining
    vertices to dense zero-based ids — order-preserving, so any per-vertex
    side data (e.g. SBM labels) can be realigned with the returned mapping.
+   This runs on the generator's pandas edge list, before the graph
+   becomes a DataFrame.
 2. For directed graphs, :func:`repro.core.graph.Graph.symmetrized` builds
    the undirected version used by undirected-only sparsifiers.
+
+:func:`used_vertices` and :func:`isolated_count` ask the same question
+of a built :class:`Graph`, as DataFrame jobs.
 """
 from __future__ import annotations
 
 import numpy as np
-from pyspark.sql import DataFrame, Window
+import pandas as pd
+from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
 from repro.core.graph import Graph
@@ -24,35 +30,23 @@ def used_vertices(g: Graph) -> DataFrame:
     )
 
 
-def drop_isolated_and_reindex(g: Graph) -> tuple[Graph, np.ndarray]:
+def drop_isolated_and_reindex(edges: pd.DataFrame) -> tuple[pd.DataFrame, np.ndarray]:
     """§3.1 step 1: drop isolated vertices, reindex dense and zero-based.
 
-    Returns ``(graph, old_ids)`` where ``old_ids[new_id] = old_id``
-    (sorted ascending, so the relabelling is order-preserving).
+    ``edges`` is a pandas edge list (src, dst[, weight]). Self-loops are
+    dropped first, as :meth:`Graph.from_edges` drops them, so a vertex
+    whose only edge is a self-loop counts as isolated. Returns
+    ``(edges, old_ids)`` where ``old_ids[new_id] = old_id`` (sorted
+    ascending, so the relabelling is order-preserving); the new graph has
+    ``len(old_ids)`` vertices.
     """
-    mapping = used_vertices(g).select(
-        F.col("v").alias("old"),
-        (F.row_number().over(Window.orderBy("v")) - 1).alias("new"),
+    e = edges[edges["src"].to_numpy() != edges["dst"].to_numpy()]
+    old_ids = np.unique(np.concatenate([e["src"].to_numpy(), e["dst"].to_numpy()]))
+    e = e.assign(
+        src=np.searchsorted(old_ids, e["src"].to_numpy()),
+        dst=np.searchsorted(old_ids, e["dst"].to_numpy()),
     )
-    n_new = mapping.count()
-    e = (
-        g.edges.join(mapping.withColumnRenamed("old", "src"), "src")
-        .drop("src")
-        .withColumnRenamed("new", "src")
-        .join(mapping.withColumnRenamed("old", "dst"), "dst")
-        .drop("dst")
-        .withColumnRenamed("new", "dst")
-        .select("src", "dst", "weight")
-    )
-    old_ids = np.sort(
-        mapping.select("old").toPandas()["old"].to_numpy(np.int64)
-    )
-    return (
-        Graph.from_edges(
-            e, directed=g.directed, weighted=g.weighted, n=n_new, name=g.name
-        ),
-        old_ids,
-    )
+    return e, old_ids.astype(np.int64)
 
 
 def isolated_count(g: Graph) -> int:

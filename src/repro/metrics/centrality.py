@@ -33,32 +33,39 @@ def pagerank(g: Graph, *, damping: float = 0.85, iters: int = 30) -> DataFrame:
 
     Weighted graphs split a vertex's rank across out-edges proportionally
     to edge weight; dangling vertices donate their mass uniformly.
+
+    A round is one aggregate over the round's messages and a zero self
+    row per vertex (which keeps every vertex): a vertex with no out-edge
+    sends its whole score to key -1, so the checkpointed aggregate's -1
+    row is the dangling mass that the next scores spread uniformly.
     """
-    adj = materialize(
-        g.adjacency()
-        .withColumn("wsum", F.sum("weight").over(Window.partitionBy("src")))
-        .select("src", "dst", (F.col("weight") / F.col("wsum")).alias("share"))
-    )
+    adj = materialize(g.adjacency())
+    # The out-weight sums ride on the exchange by src that the join needs
+    # anyway; a checkpoint does not keep that partitioning.
+    shares = adj.withColumn(
+        "wsum", F.sum("weight").over(Window.partitionBy("src"))
+    ).select("src", "dst", (F.col("weight") / F.col("wsum")).alias("share"))
     n = g.n
-    out_vertices = adj.select(F.col("src").alias("v")).distinct()
 
-    def step(ranks: DataFrame, i: int) -> DataFrame:
-        contribs = (
-            adj.join(ranks.withColumnRenamed("v", "src"), "src")
-            .groupBy(F.col("dst").alias("v"))
-            .agg(F.sum(F.col("share") * F.col("score")).alias("contrib"))
-        )
-        dangling = (
-            ranks.join(out_vertices, "v", "left_anti").agg(F.sum("score")).collect()[0][0]
-            or 0.0
-        )
+    def scores(agg: DataFrame) -> DataFrame:
+        rows = agg.where(F.col("v") == -1).collect()
+        dangling = rows[0]["c"] if rows else 0.0
         base = (1.0 - damping) / n + damping * dangling / n
-        return g.vertices().join(contribs, "v", "left").select(
-            "v",
-            (F.lit(base) + damping * F.coalesce("contrib", F.lit(0.0))).alias("score"),
+        return agg.where(F.col("v") >= 0).select(
+            "v", (F.lit(base) + damping * F.col("c")).alias("score")
         )
 
-    return loop(g.vertices().withColumn("score", F.lit(1.0 / n)), step, max_iter=iters)
+    def step(state: DataFrame, i: int) -> DataFrame:
+        ranks = state if i == 0 else scores(state)
+        msgs = ranks.withColumnRenamed("v", "src").join(shares, "src", "left").select(
+            F.coalesce("dst", F.lit(-1)).alias("v"),
+            (F.coalesce("share", F.lit(1.0)) * F.col("score")).alias("c"),
+        )
+        own = ranks.select("v", F.lit(0.0).alias("c"))
+        return msgs.unionByName(own).groupBy("v").agg(F.sum("c").alias("c"))
+
+    last = loop(g.vertices().withColumn("score", F.lit(1.0 / n)), step, max_iter=iters)
+    return scores(last) if iters else last
 
 
 def eigenvector_centrality(g: Graph, *, iters: int = 50, shift: float = 0.5) -> DataFrame:
@@ -66,32 +73,31 @@ def eigenvector_centrality(g: Graph, *, iters: int = 50, shift: float = 0.5) -> 
 
     Iterates on ``A + shift*I`` — same dominant eigenvector as ``A`` for a
     nonnegative matrix, but with a strictly dominant eigenvalue so the
-    iteration converges on bipartite(-ish) graphs too.
+    iteration converges on bipartite(-ish) graphs too. A round aggregates
+    the in-edge messages and a ``shift*score`` self row per vertex into
+    ``raw`` once; the scores are ``raw`` over its L2 norm.
     """
     rev = materialize(g.reverse_adjacency())  # rows (src=head, dst=tail)
 
-    def step(x: DataFrame, i: int) -> DataFrame:
-        agg = (
-            rev.join(x.withColumnRenamed("v", "dst"), "dst")
-            .groupBy(F.col("src").alias("v"))
-            .agg(F.sum(F.col("weight") * F.col("score")).alias("nscore"))
+    def scores(raw: DataFrame) -> DataFrame:
+        # One partition: the global sum needs no exchange.
+        norm = (
+            raw.coalesce(1).agg(F.sqrt(F.sum(F.col("raw") ** 2))).collect()[0][0]
+            or 1.0
         )
-        # Summing incoming neighbors' scores lands on each edge's head.
-        shifted = (
-            g.vertices()
-            .join(x, "v")
-            .join(agg, "v", "left")
-            .select(
-                "v",
-                (F.coalesce("nscore", F.lit(0.0)) + shift * F.col("score")).alias(
-                    "raw"
-                ),
-            )
-        )
-        norm = shifted.agg(F.sqrt(F.sum(F.col("raw") ** 2))).collect()[0][0] or 1.0
-        return shifted.select("v", (F.col("raw") / norm).alias("score"))
+        return raw.select("v", (F.col("raw") / norm).alias("score"))
 
-    return loop(g.vertices().withColumn("score", F.lit(1.0)), step, max_iter=iters)
+    def step(state: DataFrame, i: int) -> DataFrame:
+        x = state if i == 0 else scores(state)
+        # Summing incoming neighbors' scores lands on each edge's head.
+        msgs = rev.join(x.withColumnRenamed("v", "dst"), "dst").select(
+            F.col("src").alias("v"), (F.col("weight") * F.col("score")).alias("raw")
+        )
+        own = x.select("v", (shift * F.col("score")).alias("raw"))
+        return msgs.unionByName(own).groupBy("v").agg(F.sum("raw").alias("raw"))
+
+    last = loop(g.vertices().withColumn("score", F.lit(1.0)), step, max_iter=iters)
+    return scores(last) if iters else last
 
 
 def katz_centrality(g: Graph, *, alpha: float | None = None, iters: int = 40) -> DataFrame:
@@ -104,15 +110,15 @@ def katz_centrality(g: Graph, *, alpha: float | None = None, iters: int = 40) ->
     rev = materialize(g.reverse_adjacency())
 
     def step(x: DataFrame, i: int) -> DataFrame:
-        agg = (
-            rev.join(x.withColumnRenamed("v", "dst"), "dst")
-            .groupBy(F.col("src").alias("v"))
-            .agg(F.sum(F.col("weight") * (F.col("score") + 1.0)).alias("walks"))
+        walks = rev.join(x.withColumnRenamed("v", "dst"), "dst").select(
+            F.col("src").alias("v"),
+            (F.col("weight") * (F.col("score") + 1.0)).alias("walks"),
         )
+        own = x.select("v", F.lit(0.0).alias("walks"))
         return (
-            g.vertices()
-            .join(agg, "v", "left")
-            .select("v", (alpha * F.coalesce("walks", F.lit(0.0))).alias("score"))
+            walks.unionByName(own)
+            .groupBy("v")
+            .agg((alpha * F.sum("walks")).alias("score"))
         )
 
     return loop(g.vertices().withColumn("score", F.lit(0.0)), step, max_iter=iters)
@@ -146,8 +152,10 @@ def top_k(scores: DataFrame, k: int) -> set[int]:
     return {int(r["v"]) for r in rows}
 
 
-def top_k_precision(scores_orig: DataFrame, scores_sparse: DataFrame, *, k: int = 100) -> float:
-    """|top-k(orig) ∩ top-k(sparse)| / k — the paper's §3.3.3 estimator."""
-    a = top_k(scores_orig, k)
-    b = top_k(scores_sparse, k)
-    return len(a & b) / float(k)
+def top_k_precision(ref_top: set[int], scores: DataFrame, *, k: int = 100) -> float:
+    """|top-k(orig) ∩ top-k(sparse)| / k — the paper's §3.3.3 estimator.
+
+    ``ref_top`` is :func:`top_k` of the original graph's scores, taken
+    once per figure.
+    """
+    return len(ref_top & top_k(scores, k)) / float(k)

@@ -26,14 +26,10 @@ def connected_components(g: Graph, *, max_iter: int = 64) -> DataFrame:
     state = g.vertices().withColumn("comp", F.col("v"))
 
     def step(labels: DataFrame, i: int) -> DataFrame:
-        nbr_min = (
-            adj.join(labels.withColumnRenamed("v", "dst"), "dst")
-            .groupBy(F.col("src").alias("v"))
-            .agg(F.min("comp").alias("nbr_comp"))
+        nbr = adj.join(labels.withColumnRenamed("v", "dst"), "dst").select(
+            F.col("src").alias("v"), "comp"
         )
-        return labels.join(nbr_min, "v", "left").select(
-            "v", F.least("comp", F.coalesce("nbr_comp", "comp")).alias("comp")
-        )
+        return nbr.unionByName(labels).groupBy("v").agg(F.min("comp").alias("comp"))
 
     return loop(state, step, max_iter=max_iter, until_stable="comp")
 

@@ -17,7 +17,7 @@ Three ideas recur across the algorithms:
 """
 from __future__ import annotations
 
-from pyspark.sql import DataFrame, Window
+from pyspark.sql import Column, DataFrame, Window
 from pyspark.sql import functions as F
 
 from repro.core.graph import Graph
@@ -26,6 +26,16 @@ from repro.core.graph import Graph
 def target_edges(m: int, rho: float) -> int:
     """|E'| = (1 - rho)|E|, at least 1 (Definition 1)."""
     return max(1, int(round((1.0 - rho) * m)))
+
+
+def hash_uniform(seed: int, *cols: str) -> Column:
+    """A uniform draw in [0, 1) per row: the top 53 bits of
+    ``xxhash64(*cols, seed)`` over 2**53.
+
+    The draw is a function of the row's own values, so it does not depend
+    on how rows are partitioned, as ``F.rand`` does.
+    """
+    return F.shiftrightunsigned(F.xxhash64(*cols, F.lit(seed)), 11) / float(2**53)
 
 
 def take_k(edges: DataFrame, k: int, order_cols: list) -> DataFrame:

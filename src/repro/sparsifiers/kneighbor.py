@@ -19,6 +19,7 @@ from repro.core.graph import Graph
 from repro.sparsifiers.base import (
     best_int_threshold,
     canonical_min_rank,
+    hash_uniform,
     incidence_ranked,
     target_edges,
 )
@@ -27,8 +28,11 @@ from repro.sparsifiers.base import (
 def kneighbor_sparsify(g: Graph, rho: float, *, seed: int = 0) -> Graph:
     """Per-vertex weighted k-edge sampling; k solved for the target rate."""
     k_target = target_edges(g.m, rho)
-    # Key ascending == weight-proportional sampling order per vertex.
-    key = -F.log(F.rand(seed) + F.lit(1e-12)) / F.col("weight")
+    # Key ascending == weight-proportional sampling order per vertex. The
+    # draw hashes the incidence row's own (src, dst), so the two endpoints
+    # of an undirected edge draw independently.
+    u = hash_uniform(seed, "src", "dst")
+    key = -F.log(u + F.lit(1e-12)) / F.col("weight")
     ranked = incidence_ranked(g.adjacency(), key)
     edge_rank = canonical_min_rank(g, ranked).localCheckpoint(eager=True)
     k = best_int_threshold(edge_rank, k_target)

@@ -127,7 +127,7 @@ class TestClosenessApprox:
 class TestTopKPrecision:
     def test_identity_is_one(self, tiny_undirected):
         sc = centrality.pagerank(tiny_undirected, iters=10)
-        assert centrality.top_k_precision(sc, sc, k=10) == 1.0
+        assert centrality.top_k_precision(centrality.top_k(sc, 10), sc, k=10) == 1.0
 
     def test_disjoint_is_zero(self, spark):
         import pandas as pd
@@ -140,7 +140,7 @@ class TestTopKPrecision:
             pd.DataFrame({"v": range(20), "score": list(range(19, -1, -1))}),
             schema="v long, score double",
         )
-        assert centrality.top_k_precision(a, b, k=5) == 0.0
+        assert centrality.top_k_precision(centrality.top_k(a, 5), b, k=5) == 0.0
 
     def test_top_k_tie_break_deterministic(self, spark):
         import pandas as pd

@@ -129,15 +129,7 @@ def lazy_undirected(spark):
     return Graph.from_pandas(spark, pdf, directed=False, weighted=False, n=70, name="lazy_u")
 
 
-PARTITION_DEPENDENT = pytest.mark.xfail(
-    strict=True, reason="`F.rand` depends on partition layout, ROADMAP item 4"
-)
-
-
-@pytest.mark.parametrize(
-    "ab",
-    [pytest.param(a, marks=PARTITION_DEPENDENT) if a in ("RN", "KN") else a for a in ALL],
-)
+@pytest.mark.parametrize("ab", ALL)
 def test_partition_invariant(spark, lazy_undirected, ab):
     """One (graph, sparsifier, rho, seed) names one weighted edge set at 8
     and at 16 shuffle partitions."""
@@ -154,12 +146,16 @@ def test_partition_invariant(spark, lazy_undirected, ab):
     assert out[0] == out[1]
 
 
-# sha1 of the sorted (src, dst, weight) rows at rho=0.5, seed=3. RN and KN
-# draw with `F.rand` (partition-layout dependent, ROADMAP item 4); ERw and
+# sha1 of the sorted (src, dst, weight) rows at rho=0.5, seed=3. ERw and
 # ERu go through a dense pseudo-inverse that is not bit-stable across BLAS
 # builds. On tiny_directed the similarity and Local Degree variants keep
-# only edges whose head has out-edges, hence their shared hash.
+# only edges whose head has out-edges, hence their shared hash. RN and KN
+# were recorded after their draws moved from `F.rand` to `xxhash64`.
 GOLDEN_EDGE_SETS = {
+    ("RN", "undirected"): "1a91e8e4dbf9e332b0af03551fb9d382cf611d67",
+    ("RN", "directed"): "4f4d3673445e3f78d78f143c9d3801ee09e64e96",
+    ("KN", "undirected"): "137d70631cadbb7f0fe64734d235cbab6271eeaa",
+    ("KN", "directed"): "a8cd8d2398633a43f5d620bafd648d4d8c80464d",
     ("LD", "undirected"): "516692446e0ff4254eff6f51fcc373ced2821d9d",
     ("LD", "directed"): "29a611e8a5d38e601592866e8c528ecfe7f35ee1",
     ("LS", "undirected"): "35ac418c0dc022ef9965ca62447199b6cdd45c08",
