@@ -58,9 +58,10 @@ def spark() -> SparkSession:
     Master and driver memory come from ``PYSPARK_SUBMIT_ARGS`` (set above,
     pre-JVM-launch). Per-session configs that *are* honoured post-launch
     (shuffle partitions, Arrow, broadcast threshold) are set here.
-    Broadcast joins are disabled so papers about shuffle/join algorithms
-    actually exercise the shuffle path at SF~=0.1; a reproduction that
-    wants a broadcast join sets the threshold back for that query.
+    Broadcast joins are disabled, as in ``jobs/_common.py``. Materialized
+    graphs keep their edges in one partition, so the shuffle partition
+    count reaches only lazy frames and the exchanges the planner still
+    adds (DESIGN.md §5).
     """
     s = (
         SparkSession.builder.appName("repro")

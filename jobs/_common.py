@@ -19,9 +19,10 @@ def get_spark(app: str) -> SparkSession:
         SparkSession.builder.appName(app)
         .master(os.environ.get("SPARK_MASTER", "local[*]"))
         .config(
-            # Jobs run lite-scale graphs (10^3-10^4 edges); a small fixed
-            # partition count keeps per-round scheduling overhead of the
-            # iterative algorithms low. Override for bigger inputs.
+            # Materialized graphs and checkpoints keep one partition, which
+            # plans no shuffle; this count reaches only lazy frames (a
+            # stand-in before its cache) and the exchanges the planner
+            # still adds (DESIGN.md §5). Override for bigger inputs.
             "spark.sql.shuffle.partitions",
             os.environ.get("SPARK_SHUFFLE_PARTITIONS", "16"),
         )

@@ -102,8 +102,6 @@ def table2_sparsifier_characteristics(
                 "Complexity": spec.complexity,
             }
         )
-        h1.edges.unpersist()
-        h2.edges.unpersist()
     return pd.DataFrame(rows)
 
 

@@ -8,6 +8,13 @@ Vertex ids are dense ``0..n-1`` (the paper reindexes all graphs this way,
 algorithm needs per-vertex incidence. Self-loops are dropped at
 construction; parallel edges are merged (max weight) so ``|E|`` counts
 simple edges, as in the paper's Table 3.
+
+A materialized graph (:meth:`Graph.cache`, :meth:`Graph.checkpointed`)
+keeps its edges in one partition, and :meth:`Graph.vertices` is one
+slice. Spark plans no exchange over a child that reports a single
+partition, so a join, window or aggregate that reads such a graph runs
+without a shuffle; under adaptive execution every exchange is a Spark
+job of its own, and at lite scale jobs, not rows, are the cost.
 """
 from __future__ import annotations
 
@@ -112,7 +119,7 @@ class Graph:
 
     def vertices(self) -> DataFrame:
         """DataFrame[v] of all vertex ids, including isolated ones."""
-        return self.spark.range(self.n).withColumnRenamed("id", "v")
+        return self.spark.range(0, self.n, 1, 1).withColumnRenamed("id", "v")
 
     def adjacency(self) -> DataFrame:
         """Incidence view: DataFrame[src, dst, weight].
@@ -199,9 +206,17 @@ class Graph:
         return indptr, d, w
 
     def cache(self) -> "Graph":
-        self.edges.cache()
-        return self
+        """The same graph with its edges cached in one partition and counted
+        (one Spark job after the edges' own exchanges)."""
+        edges = self.edges.coalesce(1).cache()
+        return replace(self, edges=edges, _m=edges.count())
 
     def checkpointed(self) -> "Graph":
-        """Truncate lineage of the edge set (after iterative construction)."""
-        return self.with_edges(self.edges.localCheckpoint(eager=True))
+        """The same graph with its edges checkpointed in one partition,
+        lineage truncated, and counted.
+
+        The lazy checkpoint is written by the count's own job, so the two
+        cost one Spark job after the edges' own exchanges.
+        """
+        edges = self.edges.coalesce(1).localCheckpoint(eager=False)
+        return replace(self, edges=edges, _m=edges.count())

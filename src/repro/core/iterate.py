@@ -30,8 +30,14 @@ from pyspark.sql import functions as F
 
 
 def materialize(df: DataFrame) -> DataFrame:
-    """Eagerly localCheckpoint ``df``, truncating its lineage."""
-    return df.localCheckpoint(eager=True)
+    """Eagerly localCheckpoint ``df``, truncating its lineage, and read it
+    as one partition.
+
+    A checkpoint of an adaptive plan reports no partitioning; the
+    ``coalesce(1)`` over it reports a single partition again, so the plans
+    that read it need no exchange of their own (DESIGN.md §5).
+    """
+    return df.localCheckpoint(eager=True).coalesce(1)
 
 
 def loop(

@@ -69,7 +69,6 @@ def _finish(
     g = Graph.from_pandas(
         spark, edges, directed=directed, weighted=weighted, n=len(old_ids), name=name
     ).cache()
-    _ = g.m
     return Dataset(
         name=name,
         category=category,

@@ -24,7 +24,7 @@ from pyspark.sql import DataFrame, Window
 from pyspark.sql import functions as F
 
 from repro.core.graph import Graph
-from repro.core.iterate import loop, materialize
+from repro.core.iterate import loop
 from repro.metrics.paths import multi_source_distances
 
 
@@ -39,10 +39,7 @@ def pagerank(g: Graph, *, damping: float = 0.85, iters: int = 30) -> DataFrame:
     sends its whole score to key -1, so the checkpointed aggregate's -1
     row is the dangling mass that the next scores spread uniformly.
     """
-    adj = materialize(g.adjacency())
-    # The out-weight sums ride on the exchange by src that the join needs
-    # anyway; a checkpoint does not keep that partitioning.
-    shares = adj.withColumn(
+    shares = g.adjacency().withColumn(
         "wsum", F.sum("weight").over(Window.partitionBy("src"))
     ).select("src", "dst", (F.col("weight") / F.col("wsum")).alias("share"))
     n = g.n
@@ -77,14 +74,12 @@ def eigenvector_centrality(g: Graph, *, iters: int = 50, shift: float = 0.5) -> 
     the in-edge messages and a ``shift*score`` self row per vertex into
     ``raw`` once; the scores are ``raw`` over its L2 norm.
     """
-    rev = materialize(g.reverse_adjacency())  # rows (src=head, dst=tail)
+    rev = g.reverse_adjacency()  # rows (src=head, dst=tail)
 
     def scores(raw: DataFrame) -> DataFrame:
-        # One partition: the global sum needs no exchange.
-        norm = (
-            raw.coalesce(1).agg(F.sqrt(F.sum(F.col("raw") ** 2))).collect()[0][0]
-            or 1.0
-        )
+        # ``raw`` is a checkpoint read as one partition: the global sum
+        # needs no exchange.
+        norm = raw.agg(F.sqrt(F.sum(F.col("raw") ** 2))).collect()[0][0] or 1.0
         return raw.select("v", (F.col("raw") / norm).alias("score"))
 
     def step(state: DataFrame, i: int) -> DataFrame:
@@ -107,7 +102,7 @@ def katz_centrality(g: Graph, *, alpha: float | None = None, iters: int = 40) ->
             g.degrees(include_zero=False).agg(F.max("degree")).collect()[0][0] or 1
         )
         alpha = 1.0 / (max_deg + 1.0)
-    rev = materialize(g.reverse_adjacency())
+    rev = g.reverse_adjacency()
 
     def step(x: DataFrame, i: int) -> DataFrame:
         walks = rev.join(x.withColumnRenamed("v", "dst"), "dst").select(

@@ -21,6 +21,7 @@ from pyspark.sql import Column, DataFrame, Window
 from pyspark.sql import functions as F
 
 from repro.core.graph import Graph
+from repro.core.iterate import materialize
 
 
 def target_edges(m: int, rho: float) -> int:
@@ -112,9 +113,7 @@ def top_degree_power(
             F.log(F.col("rank").cast("double")) / F.log(F.col("deg").cast("double"))
         ),
     )
-    edge_req = canonical_min_rank(g, ranked, extra_min=["c_req", "pref"]).localCheckpoint(
-        eager=True
-    )
+    edge_req = materialize(canonical_min_rank(g, ranked, extra_min=["c_req", "pref"]))
     floor = edge_req.where(F.col("c_req") <= 0.0).count()
     ties = [F.col("pref").desc()] if pref_breaks_ties else []
     return take_k(edge_req, max(k_target, floor), [F.col("c_req"), *ties, "src", "dst"])
@@ -126,16 +125,8 @@ def best_int_threshold(ranked_edges: DataFrame, k_target: int) -> int:
     ``ranked_edges`` must have an integer ``rank`` column at edge (not
     incidence) granularity. Keeping edges with ``rank <= t`` is monotone
     in ``t``; we pick the ``t`` minimizing |count(t) - k_target| from the
-    cumulative rank histogram (one aggregate job).
+    cumulative rank histogram: one aggregate job, sorted on the driver.
     """
-    hist = (
-        ranked_edges.groupBy("rank").count().orderBy("rank").toPandas()
-    )
-    cum = 0
-    best_t, best_gap = 1, float("inf")
-    for _, row in hist.iterrows():
-        cum += int(row["count"])
-        gap = abs(cum - k_target)
-        if gap < best_gap:
-            best_gap, best_t = gap, int(row["rank"])
-    return best_t
+    hist = ranked_edges.groupBy("rank").count().toPandas().sort_values("rank")
+    gaps = (hist["count"].cumsum() - k_target).abs().to_numpy()
+    return int(hist["rank"].iloc[gaps.argmin()]) if len(hist) else 1

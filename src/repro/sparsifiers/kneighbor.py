@@ -16,6 +16,7 @@ from __future__ import annotations
 from pyspark.sql import functions as F
 
 from repro.core.graph import Graph
+from repro.core.iterate import materialize
 from repro.sparsifiers.base import (
     best_int_threshold,
     canonical_min_rank,
@@ -34,7 +35,7 @@ def kneighbor_sparsify(g: Graph, rho: float, *, seed: int = 0) -> Graph:
     u = hash_uniform(seed, "src", "dst")
     key = -F.log(u + F.lit(1e-12)) / F.col("weight")
     ranked = incidence_ranked(g.adjacency(), key)
-    edge_rank = canonical_min_rank(g, ranked).localCheckpoint(eager=True)
+    edge_rank = materialize(canonical_min_rank(g, ranked))
     k = best_int_threshold(edge_rank, k_target)
     kept = edge_rank.where(F.col("rank") <= k).select("src", "dst", "weight")
     return g.with_edges(kept, name=f"{g.name}|KN@{rho:.2f}")

@@ -1,17 +1,20 @@
 """Shared tiny-graph fixtures for the test suite.
 
 All fixtures are session-scoped and built once: Spark-side graphs are
-cached, and each has a networkx twin for oracle comparisons. Graphs are
-deliberately tiny (n <= ~80) — the suite runs hundreds of Spark jobs and
+materialized through ``Graph.cache`` (one partition, as the harness
+keeps its graphs), and each has a networkx twin for oracle comparisons.
+Graphs are deliberately tiny (n <= ~80) — the suite runs hundreds of Spark jobs and
 per-job overhead dominates at this scale.
 """
 from __future__ import annotations
 
 import os
 
-# Test graphs are tiny (n <= ~80); fewer shuffle partitions cut per-job
-# scheduling overhead dramatically. The session conftest honours this env
-# knob when it builds the SparkSession (set before the fixture runs).
+# Materialized graphs keep their edges in one partition, so the shuffle
+# partition count reaches only lazy frames (a fixture before its
+# ``Graph.cache``, a test's own frames) and the exchanges the planner
+# still adds (DESIGN.md §5). The session conftest honours this env knob when it builds
+# the SparkSession (set before the fixture runs).
 os.environ.setdefault("SPARK_SHUFFLE_PARTITIONS", "8")
 
 import networkx as nx
@@ -48,20 +51,18 @@ def to_nx(g: Graph):
 def tiny_undirected(spark) -> Graph:
     """Connected Holme-Kim graph, n=70 — the workhorse fixture."""
     pdf = gen.holme_kim(70, 3, 0.5, seed=7)
-    g = Graph.from_pandas(spark, pdf, directed=False, weighted=False, n=70, name="tiny_u")
-    g.edges.cache()
-    g.edges.count()
-    return g
+    return Graph.from_pandas(
+        spark, pdf, directed=False, weighted=False, n=70, name="tiny_u"
+    ).cache()
 
 
 @pytest.fixture(scope="session")
 def tiny_directed(spark) -> Graph:
     """Directed power-law graph, n=60."""
     pdf = gen.powerlaw_directed(60, 240, seed=3)
-    g = Graph.from_pandas(spark, pdf, directed=True, weighted=False, n=60, name="tiny_d")
-    g.edges.cache()
-    g.edges.count()
-    return g
+    return Graph.from_pandas(
+        spark, pdf, directed=True, weighted=False, n=60, name="tiny_d"
+    ).cache()
 
 
 @pytest.fixture(scope="session")
@@ -69,10 +70,9 @@ def tiny_weighted(spark) -> Graph:
     """Weighted connected ER graph, n=40."""
     pdf = gen.erdos_renyi(40, 180, seed=5, weighted=True)
     pdf = gen.connect_components(pdf, 40, seed=5)
-    g = Graph.from_pandas(spark, pdf, directed=False, weighted=True, n=40, name="tiny_w")
-    g.edges.cache()
-    g.edges.count()
-    return g
+    return Graph.from_pandas(
+        spark, pdf, directed=False, weighted=True, n=40, name="tiny_w"
+    ).cache()
 
 
 @pytest.fixture(scope="session")
@@ -82,28 +82,27 @@ def tiny_disconnected(spark) -> Graph:
     e2 = gen.holme_kim(15, 2, 0.4, seed=12)
     e2[["src", "dst"]] += 40
     pdf = pd.concat([e1, e2], ignore_index=True)
-    g = Graph.from_pandas(spark, pdf, directed=False, weighted=False, n=60, name="tiny_disc")
-    g.edges.cache()
-    g.edges.count()
-    return g
+    return Graph.from_pandas(
+        spark, pdf, directed=False, weighted=False, n=60, name="tiny_disc"
+    ).cache()
 
 
 @pytest.fixture(scope="session")
 def path_graph(spark) -> Graph:
     """Path 0-1-2-...-9 (known distances/centralities)."""
     pdf = pd.DataFrame({"src": range(9), "dst": range(1, 10)})
-    g = Graph.from_pandas(spark, pdf, directed=False, weighted=False, n=10, name="path10")
-    g.edges.cache()
-    return g
+    return Graph.from_pandas(
+        spark, pdf, directed=False, weighted=False, n=10, name="path10"
+    ).cache()
 
 
 @pytest.fixture(scope="session")
 def star_graph(spark) -> Graph:
     """Star with hub 0 and 8 leaves."""
     pdf = pd.DataFrame({"src": [0] * 8, "dst": range(1, 9)})
-    g = Graph.from_pandas(spark, pdf, directed=False, weighted=False, n=9, name="star9")
-    g.edges.cache()
-    return g
+    return Graph.from_pandas(
+        spark, pdf, directed=False, weighted=False, n=9, name="star9"
+    ).cache()
 
 
 @pytest.fixture(scope="session")
@@ -111,9 +110,9 @@ def complete_graph(spark) -> Graph:
     """K6 — every clustering coefficient is 1."""
     rows = [(u, v) for u in range(6) for v in range(u + 1, 6)]
     pdf = pd.DataFrame(rows, columns=["src", "dst"])
-    g = Graph.from_pandas(spark, pdf, directed=False, weighted=False, n=6, name="K6")
-    g.edges.cache()
-    return g
+    return Graph.from_pandas(
+        spark, pdf, directed=False, weighted=False, n=6, name="K6"
+    ).cache()
 
 
 @pytest.fixture(scope="session")
@@ -121,9 +120,9 @@ def sbm_graph(spark):
     """Strong 4-community SBM (n=80) with its planted labels."""
     edges, labels = gen.sbm(80, 4, avg_deg_in=8.0, avg_deg_out=0.5, seed=21)
     edges = gen.connect_components(edges, 80, seed=21)
-    g = Graph.from_pandas(spark, edges, directed=False, weighted=False, n=80, name="sbm4")
-    g.edges.cache()
-    g.edges.count()
+    g = Graph.from_pandas(
+        spark, edges, directed=False, weighted=False, n=80, name="sbm4"
+    ).cache()
     return g, labels
 
 

@@ -1,19 +1,23 @@
-"""Spark-job budgets of the fixed-point kernels and of a dataset build.
+"""Spark-job budgets of the fixed-point kernels, of a dataset build and of
+one sweep cell.
 
 At lite scale a call's cost is mostly its Spark jobs (fixed scheduling
 latency per job), so these tests pin job counts. A round's cost is the
 jobs at ``iters=3`` minus those at ``iters=2``, which leaves out the
 set-up and the final projection that every call pays once. The bounds
 are the counts measured under this suite's session (8 shuffle
-partitions, broadcast joins off); a change that adds a job per round or
-per build fails here.
+partitions, broadcast joins off) on graphs materialized in one
+partition; a change that adds a job per round, per build or per cell
+fails here.
 """
 import itertools
 
 import pytest
 
+from repro.core.experiment import sparsify_timed
+from repro.core.registry import SPARSIFIERS
 from repro.graphs import datasets
-from repro.metrics import centrality
+from repro.metrics import centrality, degree
 
 _groups = itertools.count()
 
@@ -50,10 +54,28 @@ def test_jobs_per_round(spark, request, kernel, fixture):
     assert per_round <= budget
 
 
+@pytest.fixture(scope="module")
+def stand_in(spark):
+    g = datasets.load(spark, "facebook_lite", scale=0.12, seed=0).graph
+    yield g
+    g.edges.unpersist()
+
+
 def test_dataset_load_jobs(spark):
     loaded = []
     n = jobs(spark, lambda: loaded.append(
         datasets.load(spark, "facebook_lite", scale=0.12, seed=0)
     ))
     loaded[0].graph.edges.unpersist()
-    assert n <= 4
+    assert n <= 3
+
+
+def test_sweep_cell_jobs(spark, stand_in):
+    """One cell of the Fig 2 sweep: materialize LD's output and take its
+    degree histogram."""
+
+    def cell():
+        h, _ = sparsify_timed(SPARSIFIERS["LD"], stand_in, 0.5, seed=0)
+        degree.degree_histogram(h)
+
+    assert jobs(spark, cell) <= 4

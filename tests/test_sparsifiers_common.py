@@ -132,14 +132,19 @@ def lazy_undirected(spark):
 @pytest.mark.parametrize("ab", ALL)
 def test_partition_invariant(spark, lazy_undirected, ab):
     """One (graph, sparsifier, rho, seed) names one weighted edge set at 8
-    and at 16 shuffle partitions."""
+    and at 16 shuffle partitions, over edges spread on as many partitions.
+
+    A materialized graph keeps one partition and plans no shuffle, so the
+    input is repartitioned explicitly to keep both layouts in play."""
     key = "spark.sql.shuffle.partitions"
     old = spark.conf.get(key)
     out = []
     try:
         for parts in ("8", "16"):
             spark.conf.set(key, parts)
-            h = SPARSIFIERS[ab](lazy_undirected, 0.5, seed=3)
+            g = lazy_undirected.with_edges(lazy_undirected.edges.repartition(int(parts)))
+            assert g.edges.rdd.getNumPartitions() == int(parts)
+            h = SPARSIFIERS[ab](g, 0.5, seed=3)
             out.append(set(map(tuple, h.to_pandas_edges().to_numpy())))
     finally:
         spark.conf.set(key, old)
