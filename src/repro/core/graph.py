@@ -86,18 +86,30 @@ class Graph:
         n: int,
         name: str = "",
     ) -> "Graph":
-        """Build a Graph from a pandas edge list (src, dst[, weight])."""
-        if "weight" not in pdf.columns:
-            pdf = pdf.assign(weight=1.0)
-        df = spark.createDataFrame(
-            pdf[["src", "dst", "weight"]].astype(
-                {"src": "int64", "dst": "int64", "weight": "float64"}
-            ),
-            schema=EDGE_SCHEMA,
+        """Build a Graph from a pandas edge list (src, dst[, weight]).
+
+        Canonicalizes as :meth:`from_edges` does, but in pandas: the
+        frame handed to Spark needs no ``groupBy`` (under adaptive
+        execution an exchange is a Spark job of its own). Rows arrive
+        sorted by ``(src, dst)``.
+        """
+        src = pdf["src"].to_numpy(np.int64)
+        dst = pdf["dst"].to_numpy(np.int64)
+        if "weight" in pdf.columns:
+            weight = pdf["weight"].to_numpy(np.float64)
+        else:
+            weight = np.ones(len(pdf), dtype=np.float64)
+        keep = src != dst
+        src, dst, weight = src[keep], dst[keep], weight[keep]
+        if not directed:
+            src, dst = np.minimum(src, dst), np.maximum(src, dst)
+        canonical = (
+            pd.DataFrame({"src": src, "dst": dst, "weight": weight})
+            .groupby(["src", "dst"], as_index=False, sort=True)["weight"]
+            .max()
         )
-        return Graph.from_edges(
-            df, directed=directed, weighted=weighted, n=n, name=name
-        )
+        edges = spark.createDataFrame(canonical, schema=EDGE_SCHEMA)
+        return Graph(edges=edges, directed=directed, weighted=weighted, n=n, name=name)
 
     # -- basic accessors ----------------------------------------------
     @property
@@ -216,7 +228,9 @@ class Graph:
         lineage truncated, and counted.
 
         The lazy checkpoint is written by the count's own job, so the two
-        cost one Spark job after the edges' own exchanges.
+        cost one Spark job after the edges' own exchanges. A checkpoint
+        reports no partitioning, so it is read back through ``coalesce(1)``
+        (as :func:`repro.core.iterate.materialize` does).
         """
-        edges = self.edges.coalesce(1).localCheckpoint(eager=False)
+        edges = self.edges.coalesce(1).localCheckpoint(eager=False).coalesce(1)
         return replace(self, edges=edges, _m=edges.count())

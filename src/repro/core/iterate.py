@@ -6,16 +6,20 @@ supersteps. :func:`loop` owns what they share:
 
 * **Lineage control** — each iteration adds a join + aggregate to the
   plan; after a few dozen rounds Catalyst analysis dominates runtime.
-  ``loop`` localCheckpoints the initial state and every step's output
-  once, so each step starts from a shallow plan.
+  ``loop`` localCheckpoints every step's output once, so each step
+  starts from a shallow plan. The initial state is not checkpointed: the
+  callers pass a projection of the one-slice vertex range, which has no
+  lineage to truncate.
 * **Convergence** — the optional stop test is one cheap ``limit(1)``
   job per round: has any row of the named column changed?
 
 At lite scale a round costs its Spark jobs, so a step is one aggregate
 over the union of its messages and one self row per vertex (which keeps
 every vertex without a join against the vertex set). A per-round scalar
-is read from the checkpointed state with a filter or a one-partition
-aggregate, which needs no shuffle.
+stays in the plan as an aggregate over ``Window.partitionBy()``: the
+checkpointed state is one partition, which satisfies the window's
+all-rows distribution, so it costs neither a shuffle nor a driver
+``collect()``.
 
 The frontier loops of :mod:`repro.metrics.paths` and
 :mod:`repro.metrics.betweenness` carry a frontier beside their state and
@@ -48,13 +52,12 @@ def loop(
     until_stable: str | None = None,
 ) -> DataFrame:
     """Run ``state = step(state, i)`` for ``i < max_iter``; return the last
-    (checkpointed) state.
+    state (checkpointed, unless ``max_iter`` is 0).
 
     With ``until_stable``, stop after the first step that leaves that
     column unchanged on every row; rows are matched on the state's other
     columns.
     """
-    state = materialize(state)
     for i in range(max_iter):
         new = materialize(step(state, i))
         if until_stable is not None and _unchanged(state, new, until_stable):

@@ -15,7 +15,7 @@ reproducing its *structural class* (see DESIGN.md §2):
 
 All generators return a pandas edge list with columns ``src, dst`` (plus
 ``weight`` when weighted); duplicates and self-loops may be present and
-are folded by :meth:`repro.core.graph.Graph.from_edges`.
+are folded by :meth:`repro.core.graph.Graph.from_pandas`.
 """
 from __future__ import annotations
 

@@ -34,7 +34,7 @@ def drop_isolated_and_reindex(edges: pd.DataFrame) -> tuple[pd.DataFrame, np.nda
     """§3.1 step 1: drop isolated vertices, reindex dense and zero-based.
 
     ``edges`` is a pandas edge list (src, dst[, weight]). Self-loops are
-    dropped first, as :meth:`Graph.from_edges` drops them, so a vertex
+    dropped first, as :meth:`Graph.from_pandas` drops them, so a vertex
     whose only edge is a self-loop counts as isolated. Returns
     ``(edges, old_ids)`` where ``old_ids[new_id] = old_id`` (sorted
     ascending, so the relabelling is order-preserving); the new graph has

@@ -37,7 +37,9 @@ def pagerank(g: Graph, *, damping: float = 0.85, iters: int = 30) -> DataFrame:
     A round is one aggregate over the round's messages and a zero self
     row per vertex (which keeps every vertex): a vertex with no out-edge
     sends its whole score to key -1, so the checkpointed aggregate's -1
-    row is the dangling mass that the next scores spread uniformly.
+    row is the dangling mass that the next scores spread uniformly. The
+    next scores read it through a window over the whole (one-partition)
+    state, with no driver round trip.
     """
     shares = g.adjacency().withColumn(
         "wsum", F.sum("weight").over(Window.partitionBy("src"))
@@ -45,11 +47,15 @@ def pagerank(g: Graph, *, damping: float = 0.85, iters: int = 30) -> DataFrame:
     n = g.n
 
     def scores(agg: DataFrame) -> DataFrame:
-        rows = agg.where(F.col("v") == -1).collect()
-        dangling = rows[0]["c"] if rows else 0.0
-        base = (1.0 - damping) / n + damping * dangling / n
-        return agg.where(F.col("v") >= 0).select(
-            "v", (F.lit(base) + damping * F.col("c")).alias("score")
+        dangling = F.coalesce(
+            F.max(F.when(F.col("v") == -1, F.col("c"))).over(Window.partitionBy()),
+            F.lit(0.0),
+        )
+        base = F.lit((1.0 - damping) / n) + damping * dangling / n
+        return (
+            agg.withColumn("base", base)
+            .where(F.col("v") >= 0)
+            .select("v", (F.col("base") + damping * F.col("c")).alias("score"))
         )
 
     def step(state: DataFrame, i: int) -> DataFrame:
@@ -77,9 +83,10 @@ def eigenvector_centrality(g: Graph, *, iters: int = 50, shift: float = 0.5) -> 
     rev = g.reverse_adjacency()  # rows (src=head, dst=tail)
 
     def scores(raw: DataFrame) -> DataFrame:
-        # ``raw`` is a checkpoint read as one partition: the global sum
-        # needs no exchange.
-        norm = raw.agg(F.sqrt(F.sum(F.col("raw") ** 2))).collect()[0][0] or 1.0
+        # ``raw`` is a checkpoint read as one partition: the window over
+        # all rows needs no exchange.
+        norm = F.sqrt(F.sum(F.col("raw") ** 2).over(Window.partitionBy()))
+        norm = F.when(norm == 0, F.lit(1.0)).otherwise(norm)
         return raw.select("v", (F.col("raw") / norm).alias("score"))
 
     def step(state: DataFrame, i: int) -> DataFrame:

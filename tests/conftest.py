@@ -23,6 +23,7 @@ import pandas as pd
 import pytest
 
 from repro.core.graph import Graph
+from repro.graphs import datasets
 from repro.graphs import generators as gen
 
 
@@ -124,6 +125,15 @@ def sbm_graph(spark):
         spark, edges, directed=False, weighted=False, n=80, name="sbm4"
     ).cache()
     return g, labels
+
+
+@pytest.fixture(scope="session")
+def stand_in(spark):
+    """A loaded dataset stand-in (facebook_lite at scale 0.12), as a sweep
+    reads it: cached in one partition."""
+    g = datasets.load(spark, "facebook_lite", scale=0.12, seed=0).graph
+    yield g
+    g.edges.unpersist()
 
 
 @pytest.fixture(scope="session")

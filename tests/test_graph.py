@@ -55,6 +55,31 @@ class TestCanonicalization:
         g = Graph.from_pandas(spark, pdf, directed=False, weighted=False, n=3)
         assert set(g.to_pandas_edges()["weight"]) == {1.0}
 
+    @pytest.mark.parametrize("directed", [False, True])
+    @pytest.mark.parametrize("weight", [True, False])
+    def test_from_pandas_matches_from_edges(self, spark, directed, weight):
+        """The pandas canonicalization agrees with the Spark one (oracle)."""
+        pdf = pd.DataFrame(
+            {
+                # a self-loop, (0,1) in both orientations, (2,4) and (1,2)
+                # twice in one orientation with different weights
+                "src": [3, 0, 1, 2, 2, 1, 2, 4, 1],
+                "dst": [3, 1, 0, 4, 4, 2, 1, 0, 2],
+                "weight": [9.0, 1.0, 2.0, 0.5, 3.0, 1.0, 5.0, 4.0, 7.0],
+            }
+        )
+        if not weight:
+            pdf = pdf.drop(columns="weight")
+        kw = dict(directed=directed, weighted=weight, n=5)
+        via_pandas = Graph.from_pandas(spark, pdf, **kw)
+        via_spark = Graph.from_edges(spark.createDataFrame(pdf), **kw)
+
+        def rows(g):
+            return sorted(tuple(r) for r in g.edges.collect())
+
+        assert rows(via_pandas) == rows(via_spark)
+        assert len(rows(via_pandas)) == (6 if directed else 4)
+
 
 class TestViews:
     def test_adjacency_doubles_undirected(self, tiny_undirected):

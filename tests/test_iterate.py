@@ -24,7 +24,7 @@ def test_runs_max_iter_steps_and_checkpoints_each_once(spark, monkeypatch):
 
     out = iterate.loop(_state(spark), step, max_iter=5)
     assert calls == [0, 1, 2, 3, 4]
-    assert len(checkpoints) == 6  # the initial state, then each step's output
+    assert len(checkpoints) == 5  # each step's output; not the initial state
     assert [r.x for r in out.collect()] == [5] * 4
 
 

@@ -1,5 +1,5 @@
 """Spark-job budgets of the fixed-point kernels, of a dataset build and of
-one sweep cell.
+sweep cells.
 
 At lite scale a call's cost is mostly its Spark jobs (fixed scheduling
 latency per job), so these tests pin job counts. A round's cost is the
@@ -10,37 +10,25 @@ partitions, broadcast joins off) on graphs materialized in one
 partition; a change that adds a job per round, per build or per cell
 fails here.
 """
-import itertools
-
 import pytest
 
 from repro.core.experiment import sparsify_timed
+from repro.core.jobs import JobCount
 from repro.core.registry import SPARSIFIERS
 from repro.graphs import datasets
 from repro.metrics import centrality, degree
 
-_groups = itertools.count()
-
 
 def jobs(spark, fn, *args, **kwargs) -> int:
-    """Spark jobs that ``fn(*args, **kwargs)`` runs, counted under its own
-    job group."""
-    sc = spark.sparkContext
-    group = f"job-budget-{next(_groups)}"
-    sc.setJobGroup(group, group)
-    try:
+    """Spark jobs that ``fn(*args, **kwargs)`` runs."""
+    with JobCount(spark, "job-budget") as count:
         fn(*args, **kwargs)
-    finally:
-        sc.setLocalProperty("spark.jobGroup.id", None)
-        sc.setLocalProperty("spark.job.description", None)
-    # The status store learns of jobs from the listener bus: drain it first.
-    sc._jsc.sc().listenerBus().waitUntilEmpty()
-    return len(sc.statusTracker().getJobIdsForGroup(group))
+    return count.n
 
 
 ROUND_BUDGET = {
-    "pagerank": (centrality.pagerank, 5),
-    "eigenvector": (centrality.eigenvector_centrality, 5),
+    "pagerank": (centrality.pagerank, 4),
+    "eigenvector": (centrality.eigenvector_centrality, 4),
     "katz": (centrality.katz_centrality, 4),
 }
 
@@ -54,20 +42,13 @@ def test_jobs_per_round(spark, request, kernel, fixture):
     assert per_round <= budget
 
 
-@pytest.fixture(scope="module")
-def stand_in(spark):
-    g = datasets.load(spark, "facebook_lite", scale=0.12, seed=0).graph
-    yield g
-    g.edges.unpersist()
-
-
 def test_dataset_load_jobs(spark):
     loaded = []
     n = jobs(spark, lambda: loaded.append(
         datasets.load(spark, "facebook_lite", scale=0.12, seed=0)
     ))
     loaded[0].graph.edges.unpersist()
-    assert n <= 3
+    assert n <= 2
 
 
 def test_sweep_cell_jobs(spark, stand_in):
@@ -79,3 +60,28 @@ def test_sweep_cell_jobs(spark, stand_in):
         degree.degree_histogram(h)
 
     assert jobs(spark, cell) <= 4
+
+
+# RN: the checkpoint's job and the histogram's. RD adds the collect that
+# feeds its driver-side kernel.
+FIG02_CELL_BUDGET = {"RN": 2, "RD": 3}
+
+
+@pytest.mark.parametrize("ab", sorted(FIG02_CELL_BUDGET))
+def test_fig02_cell_jobs(spark, stand_in, ab):
+    """A Fig 2 cell whose sparsifier output reads as one partition: the
+    histogram over it needs no exchange."""
+
+    def cell():
+        h, _ = sparsify_timed(SPARSIFIERS[ab], stand_in, 0.5, seed=0)
+        degree.degree_histogram(h)
+
+    assert jobs(spark, cell) <= FIG02_CELL_BUDGET[ab]
+
+
+@pytest.mark.parametrize("ab", ["RN", "KN", "LD"])
+def test_fig11_cell_jobs(spark, stand_in, ab):
+    """The metric half of a Fig 11 cell: one PageRank round on the
+    sparsified graph and its top-k."""
+    h, _ = sparsify_timed(SPARSIFIERS[ab], stand_in, 0.5, seed=0)
+    assert jobs(spark, lambda: centrality.top_k(centrality.pagerank(h, iters=1), 20)) <= 2

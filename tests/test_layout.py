@@ -3,6 +3,8 @@ the same outputs over the same edges spread on eight partitions."""
 import numpy as np
 import pytest
 
+from repro.core.experiment import sparsify_timed
+from repro.core.registry import SPARSIFIERS
 from repro.metrics import centrality, connectivity, degree
 
 SCORES = {
@@ -48,3 +50,19 @@ def test_degree_counts_match_across_layouts(graph):
     assert np.array_equal(
         degree.degree_counts(graph), degree.degree_counts(spread(graph))
     )
+
+
+def partitioning(df) -> str:
+    """The output partitioning of ``df``'s executed plan, as Spark names it."""
+    return df._jdf.queryExecution().executedPlan().outputPartitioning().toString()
+
+
+def test_loaded_stand_in_is_single_partition(stand_in):
+    assert partitioning(stand_in.edges) == "SinglePartition"
+
+
+@pytest.mark.parametrize("ab", sorted(SPARSIFIERS))
+def test_sparsified_cell_is_single_partition(stand_in, ab):
+    """Every plan over a sweep cell's graph starts without an exchange."""
+    h, _ = sparsify_timed(SPARSIFIERS[ab], stand_in, 0.5, seed=0)
+    assert partitioning(h.edges) == "SinglePartition"

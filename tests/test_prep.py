@@ -67,7 +67,7 @@ class TestDropIsolatedAndReindex:
         assert pairs(g2.to_pandas_edges()) == {(0, 1), (1, 0)}
 
     def test_self_loop_only_vertex_is_isolated(self, spark):
-        # Vertex 3's only edge is a self-loop: Graph.from_edges drops it, so
+        # Vertex 3's only edge is a self-loop: Graph.from_pandas drops it, so
         # the Spark oracle counts 3 as isolated, and the reindex drops it.
         pdf = pd.DataFrame({"src": [0, 3, 1], "dst": [1, 3, 5]})
         e, old_ids = prep.drop_isolated_and_reindex(pdf)
