@@ -1,29 +1,29 @@
-"""The one fixed-point loop for level-synchronous DataFrame algorithms.
+"""The one superstep loop for level-synchronous DataFrame algorithms.
 
-PageRank, power iteration, Katz, label propagation and connected
-components are each a loop of ``join state with adjacency -> aggregate``
-supersteps. :func:`loop` owns what they share:
+PageRank, power iteration, Katz, label propagation, connected
+components, multi-source BFS / Bellman-Ford and Brandes' forward and
+backward passes are each a loop of ``join state with adjacency ->
+aggregate`` supersteps. :func:`loop` owns what they share:
 
 * **Lineage control** — each iteration adds a join + aggregate to the
   plan; after a few dozen rounds Catalyst analysis dominates runtime.
   ``loop`` localCheckpoints every step's output once, so each step
   starts from a shallow plan. The initial state is not checkpointed: the
-  callers pass a projection of the one-slice vertex range, which has no
-  lineage to truncate.
-* **Convergence** — the optional stop test is one cheap ``limit(1)``
-  job per round: has any row of the named column changed?
+  callers pass a projection of the one-slice vertex range or of an
+  earlier loop's checkpoint, which has no lineage to truncate.
+* **Convergence** — Pregel's vote to halt: a step flags every row it
+  changed in a boolean column, and the loop stops after the first step
+  that flags none, one cheap ``limit(1)`` job per round over the
+  checkpoint it already holds.
 
 At lite scale a round costs its Spark jobs, so a step is one aggregate
-over the union of its messages and one self row per vertex (which keeps
-every vertex without a join against the vertex set). A per-round scalar
-stays in the plan as an aggregate over ``Window.partitionBy()``: the
-checkpointed state is one partition, which satisfies the window's
-all-rows distribution, so it costs neither a shuffle nor a driver
-``collect()``.
-
-The frontier loops of :mod:`repro.metrics.paths` and
-:mod:`repro.metrics.betweenness` carry a frontier beside their state and
-run their own rounds.
+over the union of its messages and one own row per vertex (which keeps
+every vertex without a join against the vertex set, and lets the same
+aggregate compare the new value with the own one to set the flag). A
+per-round scalar stays in the plan as an aggregate over
+``Window.partitionBy()``: the checkpointed state is one partition, which
+satisfies the window's all-rows distribution, so it costs neither a
+shuffle nor a driver ``collect()``.
 """
 from __future__ import annotations
 
@@ -49,30 +49,16 @@ def loop(
     step: Callable[[DataFrame, int], DataFrame],
     *,
     max_iter: int,
-    until_stable: str | None = None,
+    until_none: str | None = None,
 ) -> DataFrame:
     """Run ``state = step(state, i)`` for ``i < max_iter``; return the last
     state (checkpointed, unless ``max_iter`` is 0).
 
-    With ``until_stable``, stop after the first step that leaves that
-    column unchanged on every row; rows are matched on the state's other
-    columns.
+    With ``until_none``, the name of a boolean column that each step sets
+    on the rows it changed, stop after the first step that flags no row.
     """
     for i in range(max_iter):
-        new = materialize(step(state, i))
-        if until_stable is not None and _unchanged(state, new, until_stable):
-            return new
-        state = new
+        state = materialize(step(state, i))
+        if until_none and state.where(F.col(until_none)).limit(1).count() == 0:
+            break
     return state
-
-
-def _unchanged(prev: DataFrame, new: DataFrame, col: str) -> bool:
-    keys = [c for c in prev.columns if c != col]
-    changed = (
-        prev.withColumnRenamed(col, "_prev")
-        .join(new, keys)
-        .where(F.col("_prev") != F.col(col))
-        .limit(1)
-        .count()
-    )
-    return changed == 0

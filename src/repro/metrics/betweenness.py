@@ -3,9 +3,9 @@
 Exact betweenness needs APSP; the paper uses Geisberger-style sampling
 (500 sources). We run Brandes' algorithm from a sampled source batch:
 
-* **Forward** — level-synchronous BFS carrying path counts: the frontier
-  table (s, v, dist, sigma) expands one hop per round, sigma summing
-  over predecessors (unweighted shortest paths, as in Brandes).
+* **Forward** — level-synchronous BFS carrying path counts: the table
+  (s, v, dist, sigma) expands its last level by one hop per round, sigma
+  summing over predecessors (unweighted shortest paths, as in Brandes).
 * **Backward** — walk the BFS DAG from the deepest level up, adding
   delta(u) += sigma_u/sigma_w * (1 + delta_w) over DAG edges (u, w).
 
@@ -14,47 +14,59 @@ vertices as sources this is exact (tests check it against networkx).
 """
 from __future__ import annotations
 
-import pandas as pd
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
 from repro.core.graph import Graph
-from repro.core.iterate import materialize
+from repro.core.iterate import loop
 
 
 def bfs_sigma(g: Graph, sources: list[int], *, max_iter: int = 128) -> DataFrame:
-    """DataFrame[s, v, dist, sigma]: hop distance and #shortest paths."""
-    adj = materialize(g.adjacency().select("src", "dst"))
-    spark = g.spark
-    visited = materialize(
-        spark.createDataFrame(
-            pd.DataFrame({"s": sources}), schema="s long"
-        ).select("s", F.col("s").alias("v"), F.lit(0).alias("dist"), F.lit(1.0).alias("sigma"))
+    """DataFrame[s, v, dist, sigma]: hop distance and #shortest paths.
+
+    Round ``i`` expands the vertices found in the previous round
+    (``fresh``); a vertex with no row yet is found at ``dist = i + 1``,
+    its sigma the sum of its new predecessors' sigmas.
+    """
+    adj = g.adjacency().select(F.col("src").alias("v"), "dst")
+    state = g.vertices().where(F.col("v").isin(sources)).select(
+        F.col("v").alias("s"), "v", F.lit(0).alias("dist"), F.lit(1.0).alias("sigma"),
+        F.lit(True).alias("fresh"),
     )
-    frontier = visited
-    for level in range(1, max_iter + 1):
-        nxt = (
-            frontier.join(adj, frontier.v == adj.src)
-            .groupBy("s", F.col("dst").alias("v"))
-            .agg(F.sum("sigma").alias("sigma"))
-            .join(visited.select("s", "v"), ["s", "v"], "left_anti")
-            .withColumn("dist", F.lit(level))
-            .select("s", "v", "dist", "sigma")
+
+    def step(state: DataFrame, i: int) -> DataFrame:
+        cand = state.where(F.col("fresh")).join(adj, "v").select(
+            "s", F.col("dst").alias("v"), F.col("sigma").alias("paths")
         )
-        nxt = materialize(nxt)
-        if nxt.limit(1).count() == 0:
-            break
-        visited = materialize(visited.unionByName(nxt))
-        frontier = nxt
-    return visited
+        old = state.select("s", "v", "dist", "sigma")
+        return (
+            cand.unionByName(old, allowMissingColumns=True)
+            .groupBy("s", "v")
+            .agg(
+                F.max("dist").alias("od"),
+                F.max("sigma").alias("sigma"),
+                F.sum("paths").alias("paths"),
+            )
+            .select(
+                "s", "v",
+                F.coalesce("od", F.lit(i + 1)).alias("dist"),
+                F.coalesce("sigma", "paths").alias("sigma"),
+                F.col("od").isNull().alias("fresh"),
+            )
+        )
+
+    visited = loop(state, step, max_iter=max_iter, until_none="fresh")
+    return visited.select("s", "v", "dist", "sigma")
 
 
 def brandes_delta(g: Graph, visited: DataFrame) -> DataFrame:
-    """DataFrame[s, v, delta]: dependency accumulation over the BFS DAG."""
-    adj = materialize(g.adjacency().select("src", "dst"))
+    """DataFrame[s, v, delta]: dependency accumulation over the BFS DAG,
+    one level per round from the deepest up."""
+    adj = g.adjacency().select(F.col("src").alias("v"), F.col("dst").alias("w"))
     max_level = visited.agg(F.max("dist")).collect()[0][0] or 0
-    delta = materialize(visited.select("s", "v", F.lit(0.0).alias("delta")))
-    for level in range(max_level, 0, -1):
+
+    def step(delta: DataFrame, i: int) -> DataFrame:
+        level = max_level - i
         down = (
             visited.where(F.col("dist") == level)
             .withColumnRenamed("v", "w")
@@ -71,7 +83,7 @@ def brandes_delta(g: Graph, visited: DataFrame) -> DataFrame:
         )
         # DAG edges: (u at level-1) -> (w at level) that are graph edges.
         contrib = (
-            up.join(adj.select(F.col("src").alias("v"), F.col("dst").alias("w")), "v")
+            up.join(adj, "v")
             .join(down, ["s", "w"])
             .groupBy("s", "v")
             .agg(
@@ -80,13 +92,13 @@ def brandes_delta(g: Graph, visited: DataFrame) -> DataFrame:
                 ).alias("contrib")
             )
         )
-        delta = materialize(
-            delta.join(contrib, ["s", "v"], "left").select(
-                "s", "v",
-                (F.col("delta") + F.coalesce("contrib", F.lit(0.0))).alias("delta"),
-            )
+        return delta.join(contrib, ["s", "v"], "left").select(
+            "s", "v",
+            (F.col("delta") + F.coalesce("contrib", F.lit(0.0))).alias("delta"),
         )
-    return delta
+
+    delta0 = visited.select("s", "v", F.lit(0.0).alias("delta"))
+    return loop(delta0, step, max_iter=max_level)
 
 
 def betweenness_scores(g: Graph, *, sources: list[int]) -> DataFrame:

@@ -98,18 +98,20 @@ def lpa_communities(g: Graph, *, max_iter: int = 10) -> DataFrame:
     def step(labels: DataFrame, i: int) -> DataFrame:
         votes = adj.join(
             labels.withColumnRenamed("v", "dst"), "dst"
-        ).select(F.col("src").alias("v"), "label")
+        ).select(F.col("src").alias("v"), "label", F.lit(0).alias("own"))
         # Self-vote stabilizes synchronous LPA against 2-cycles.
-        votes = votes.unionByName(labels.select("v", "label"))
-        counted = votes.groupBy("v", "label").count()
+        votes = votes.unionByName(labels.select("v", "label", F.lit(1).alias("own")))
+        counted = votes.groupBy("v", "label").agg(
+            F.count("*").alias("count"), F.max("own").alias("own")
+        )
         w = Window.partitionBy("v").orderBy(F.col("count").desc(), F.col("label"))
         return (
             counted.withColumn("rk", F.row_number().over(w))
             .where(F.col("rk") == 1)
-            .select("v", "label")
+            .select("v", "label", (F.col("own") == 0).alias("changed"))
         )
 
-    return loop(state, step, max_iter=max_iter, until_stable="label")
+    return loop(state, step, max_iter=max_iter, until_none="changed").select("v", "label")
 
 
 def num_communities(g: Graph, *, max_iter: int = 10) -> int:

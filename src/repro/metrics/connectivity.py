@@ -29,9 +29,15 @@ def connected_components(g: Graph, *, max_iter: int = 64) -> DataFrame:
         nbr = adj.join(labels.withColumnRenamed("v", "dst"), "dst").select(
             F.col("src").alias("v"), "comp"
         )
-        return nbr.unionByName(labels).groupBy("v").agg(F.min("comp").alias("comp"))
+        own = labels.select("v", "comp", F.col("comp").alias("own"))
+        return (
+            nbr.unionByName(own, allowMissingColumns=True)
+            .groupBy("v")
+            .agg(F.min("comp").alias("comp"), F.min("own").alias("own"))
+            .select("v", "comp", (F.col("comp") < F.col("own")).alias("changed"))
+        )
 
-    return loop(state, step, max_iter=max_iter, until_stable="comp")
+    return loop(state, step, max_iter=max_iter, until_none="changed").select("v", "comp")
 
 
 def component_sizes(g: Graph) -> DataFrame:

@@ -1,8 +1,8 @@
 """Distance metrics (§2.2.2, §3.3.2): SPSP stretch, eccentricity, diameter.
 
 The workhorse is a *batched multi-source* shortest-path DataFrame job:
-all sampled sources run in one frontier table (s, v, dist), each round
-relaxing the frontier against the adjacency and keeping improvements —
+all sampled sources run in one table (s, v, dist), each round relaxing
+the rows the previous round improved against the adjacency —
 plain BFS on unweighted graphs, frontier-based Bellman-Ford on weighted
 ones. The paper's estimators compare two such tables, the original's
 (computed once per figure) and a sparsified graph's, from the same
@@ -19,12 +19,11 @@ sources:
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 from pyspark.sql import DataFrame, Window
 from pyspark.sql import functions as F
 
 from repro.core.graph import Graph
-from repro.core.iterate import materialize
+from repro.core.iterate import loop
 
 
 def sample_sources(g: Graph, k: int, *, seed: int = 0) -> list[int]:
@@ -35,49 +34,38 @@ def sample_sources(g: Graph, k: int, *, seed: int = 0) -> list[int]:
 
 
 def multi_source_distances(
-    g: Graph, sources: list[int], *, max_iter: int = 128, reverse: bool = False
+    g: Graph, sources: list[int], *, max_iter: int = 128
 ) -> DataFrame:
     """DataFrame[s, v, dist] of shortest-path distances from each source.
 
     Frontier-based label-correcting relaxation: only rows improved in the
-    previous round are expanded, so unweighted graphs do exact BFS work
-    and weighted graphs do Bellman-Ford with a shrinking frontier.
-    Unreached (s, v) pairs are absent from the output.
+    previous round (``fresh``) are expanded, so unweighted graphs do exact
+    BFS work and weighted graphs do Bellman-Ford with a shrinking
+    frontier. Unreached (s, v) pairs are absent from the output.
     """
-    adj = materialize(
-        (g.reverse_adjacency() if reverse else g.adjacency()).select(
-            "src", "dst", "weight"
+    adj = g.adjacency().select(F.col("src").alias("v"), "dst", "weight")
+    state = g.vertices().where(F.col("v").isin(sources)).select(
+        F.col("v").alias("s"), "v", F.lit(0.0).alias("dist"),
+        F.lit(True).alias("fresh"),
+    )
+
+    def step(state: DataFrame, i: int) -> DataFrame:
+        cand = state.where(F.col("fresh")).join(adj, "v").select(
+            "s", F.col("dst").alias("v"), (F.col("dist") + F.col("weight")).alias("nd")
         )
-    )
-    spark = g.spark
-    src_df = spark.createDataFrame(
-        pd.DataFrame({"s": sources}), schema="s long"
-    )
-    dist = materialize(
-        src_df.select("s", F.col("s").alias("v"), F.lit(0.0).alias("dist"))
-    )
-    frontier = dist
-    for _ in range(max_iter):
-        cand = (
-            frontier.join(adj, frontier.v == adj.src)
-            .select("s", F.col("dst").alias("v"), (F.col("dist") + F.col("weight")).alias("nd"))
+        old = state.select("s", "v", F.col("dist").alias("od"))
+        dist = F.least("nd", "od")
+        return (
+            cand.unionByName(old, allowMissingColumns=True)
             .groupBy("s", "v")
-            .agg(F.min("nd").alias("nd"))
+            .agg(F.min("nd").alias("nd"), F.min("od").alias("od"))
+            .select(
+                "s", "v", dist.alias("dist"),
+                (F.col("od").isNull() | (dist < F.col("od"))).alias("fresh"),
+            )
         )
-        improved = materialize(
-            cand.join(dist, ["s", "v"], "left")
-            .where(F.col("dist").isNull() | (F.col("nd") < F.col("dist")))
-            .select("s", "v", F.col("nd").alias("dist"))
-        )
-        if improved.limit(1).count() == 0:
-            break
-        dist = materialize(
-            dist.unionByName(improved)
-            .groupBy("s", "v")
-            .agg(F.min("dist").alias("dist"))
-        )
-        frontier = improved
-    return dist
+
+    return loop(state, step, max_iter=max_iter, until_none="fresh").select("s", "v", "dist")
 
 
 def spsp_stretch(d0: DataFrame, d1: DataFrame) -> tuple[float, float]:

@@ -49,9 +49,9 @@ def forest_fire_sparsify(
             ]
             if not cands:
                 continue
-            # Geometric burn count with mean p/(1-p) (Leskovec's model).
-            n_burn = min(int(rng.geometric(1.0 - p_burn)) - 0, len(cands))
-            n_burn = min(max(n_burn, 1), len(cands))
+            # Geometric burn count: at least one, mean 1/(1-p) (Leskovec's
+            # model has mean p/(1-p) and may burn none).
+            n_burn = min(int(rng.geometric(1.0 - p_burn)), len(cands))
             rng.shuffle(cands)
             for u, w in cands[:n_burn]:
                 picked[canon(v, u)] = w
@@ -64,10 +64,7 @@ def forest_fire_sparsify(
             "weight": list(picked.values()),
         }
     )
-    if pdf.empty:
-        pdf = pd.DataFrame({"src": [], "dst": [], "weight": []})
-    out = Graph.from_pandas(
+    return Graph.from_pandas(
         g.spark, pdf, directed=g.directed, weighted=g.weighted, n=g.n,
         name=f"{g.name}|FF@{rho:.2f}",
     )
-    return out

@@ -45,8 +45,7 @@ def spanning_forest_sparsify(g: Graph, rho: float = 0.0, *, seed: int = 0) -> Gr
     src, dst, w = gu.to_arrays()
     keep = _kruskal_forest(src, dst, w, gu.n)
     pdf = pd.DataFrame({"src": src[keep], "dst": dst[keep], "weight": w[keep]})
-    out = Graph.from_pandas(
+    return Graph.from_pandas(
         g.spark, pdf, directed=False, weighted=gu.weighted, n=gu.n,
         name=f"{g.name}|SF",
     )
-    return out

@@ -28,17 +28,34 @@ def test_runs_max_iter_steps_and_checkpoints_each_once(spark, monkeypatch):
     assert [r.x for r in out.collect()] == [5] * 4
 
 
-def test_until_stable_stops_after_first_unchanged_round(spark):
-    # x climbs to id: row 3 changes in rounds 0-2, no row changes in round 3.
-    calls = []
+def _climb(calls):
+    """x climbs by one towards id; ``changed`` flags the rows it moved."""
 
     def step(state, i):
         calls.append(i)
-        return state.withColumn("x", F.least(F.col("x") + 1, F.col("id")))
+        x = F.least(F.col("x") + 1, F.col("id"))
+        return state.select("id", x.alias("x"), (x != F.col("x")).alias("changed"))
 
-    out = iterate.loop(_state(spark), step, max_iter=10, until_stable="x")
+    return step
+
+
+def test_until_none_stops_after_first_step_that_flags_no_row(spark):
+    # Row 3 is flagged in rounds 0-2; round 3 flags no row.
+    calls = []
+    out = iterate.loop(_state(spark), _climb(calls), max_iter=10, until_none="changed")
     assert calls == [0, 1, 2, 3]
-    assert [tuple(r) for r in out.orderBy("id").collect()] == [(i, i) for i in range(4)]
+    # Round 3's output, not round 2's (which still flags row 3).
+    assert [tuple(r) for r in out.orderBy("id").collect()] == [
+        (i, i, False) for i in range(4)
+    ]
+
+
+def test_max_iter_zero_returns_input_unflagged(spark):
+    calls = []
+    out = iterate.loop(_state(spark), _climb(calls), max_iter=0, until_none="changed")
+    assert calls == []
+    assert out.columns == ["id", "x"]
+    assert [tuple(r) for r in out.orderBy("id").collect()] == [(i, 0) for i in range(4)]
 
 
 def test_returns_last_step_output(spark):
@@ -46,8 +63,10 @@ def test_returns_last_step_output(spark):
         _state(spark), lambda s, i: s.withColumn("x", F.lit(10 * i + 1)), max_iter=3
     )
     assert {r.x for r in out.collect()} == {21}
-    unchanged_at_once = iterate.loop(
-        _state(spark), lambda s, i: s.withColumn("x", F.lit(7)), max_iter=3,
-        until_stable="x",
+    flags_none_at_once = iterate.loop(
+        _state(spark),
+        lambda s, i: s.select("id", F.lit(7).alias("x"), F.lit(False).alias("changed")),
+        max_iter=3,
+        until_none="changed",
     )
-    assert {r.x for r in unchanged_at_once.collect()} == {7}
+    assert {(r.x, r.changed) for r in flags_none_at_once.collect()} == {(7, False)}

@@ -3,10 +3,10 @@ sweep cells.
 
 At lite scale a call's cost is mostly its Spark jobs (fixed scheduling
 latency per job), so these tests pin job counts. A round's cost is the
-jobs at ``iters=3`` minus those at ``iters=2``, which leaves out the
-set-up and the final projection that every call pays once. The bounds
-are the counts measured under this suite's session (8 shuffle
-partitions, broadcast joins off) on graphs materialized in one
+jobs at 3 rounds (``iters`` or ``max_iter``) minus those at 2, which
+leaves out the set-up and the final projection that every call pays
+once. The bounds are the counts measured under this suite's session (8
+shuffle partitions, broadcast joins off) on graphs materialized in one
 partition; a change that adds a job per round, per build or per cell
 fails here.
 """
@@ -16,7 +16,7 @@ from repro.core.experiment import sparsify_timed
 from repro.core.jobs import JobCount
 from repro.core.registry import SPARSIFIERS
 from repro.graphs import datasets
-from repro.metrics import centrality, degree
+from repro.metrics import betweenness, centrality, clustering, connectivity, degree, paths
 
 
 def jobs(spark, fn, *args, **kwargs) -> int:
@@ -39,6 +39,28 @@ def test_jobs_per_round(spark, request, kernel, fixture):
     g = request.getfixturevalue(fixture)
     fn, budget = ROUND_BUDGET[kernel]
     per_round = jobs(spark, fn, g, iters=3) - jobs(spark, fn, g, iters=2)
+    assert per_round <= budget
+
+
+# Kernels that stop after a round that flags no changed row; the BFS
+# kernels run from vertex 0.
+STOPPING_ROUND_BUDGET = {
+    "components": (connectivity.connected_components, 3),
+    "lpa": (clustering.lpa_communities, 4),
+    "multi_source_distances": (
+        lambda g, max_iter: paths.multi_source_distances(g, [0], max_iter=max_iter), 3
+    ),
+    "bfs_sigma": (lambda g, max_iter: betweenness.bfs_sigma(g, [0], max_iter=max_iter), 3),
+}
+
+
+@pytest.mark.parametrize("kernel", sorted(STOPPING_ROUND_BUDGET))
+def test_jobs_per_stopping_round(spark, path_graph, kernel):
+    fn, budget = STOPPING_ROUND_BUDGET[kernel]
+    per_round = jobs(spark, fn, path_graph, max_iter=3) - jobs(spark, fn, path_graph, max_iter=2)
+    # Round 3 still changes rows on the path, so neither count stopped early.
+    two, three = [sorted(map(tuple, fn(path_graph, max_iter=k).collect())) for k in (2, 3)]
+    assert two != three
     assert per_round <= budget
 
 

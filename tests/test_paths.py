@@ -39,14 +39,6 @@ class TestMultiSourceDistances:
         G = to_nx(g)
         assert len(d) == len(nx.node_connected_component(G, 0))
 
-    def test_reverse_distances_directed(self, tiny_directed):
-        g = tiny_directed
-        G = to_nx(g).reverse()
-        d = paths.multi_source_distances(g, [5], reverse=True).toPandas()
-        ref = nx_sssp(G, 5, False)
-        ours = {int(r.v): r.dist for r in d.itertuples()}
-        assert ours == ref
-
 
 class TestSampleSources:
     def test_deterministic_and_distinct(self, tiny_undirected):
