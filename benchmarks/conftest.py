@@ -1,20 +1,11 @@
-"""Benchmark-session knobs, set before the session ``spark`` fixture builds
-the SparkSession: a small shuffle partition count. Materialized graphs keep
-their edges in one partition, so it reaches only lazy frames and the
-exchanges the planner still adds (DESIGN.md §5).
-
-Each figure benchmark also reports its Spark jobs beside its seconds, as
+"""Each figure benchmark reports its Spark jobs beside its seconds, as
 ``extra_info["spark_jobs"]`` in pytest-benchmark's report: at lite scale
 the job is the cost unit. A figure bench makes one pedantic round, so the
 count is one figure call's.
 """
-import os
-
 import pytest
 
 from repro.core.jobs import JobCount
-
-os.environ.setdefault("SPARK_SHUFFLE_PARTITIONS", "8")
 
 
 @pytest.fixture(autouse=True)

@@ -40,39 +40,26 @@ def _driver_mem() -> str:
 os.environ.setdefault("SPARK_DRIVER_MEM", _driver_mem())
 os.environ.setdefault(
     "PYSPARK_SUBMIT_ARGS",
-    f"--master {os.environ.get('SPARK_MASTER', 'local[*]')} "
     f"--driver-memory {os.environ['SPARK_DRIVER_MEM']} "
     f"--conf spark.driver.host=127.0.0.1 "
-    f"--conf spark.ui.enabled=false "
     "pyspark-shell",
 )
 
 import pytest  # noqa: E402
 from pyspark.sql import SparkSession  # noqa: E402
 
+from repro.core import session  # noqa: E402
+
 
 @pytest.fixture(scope="session")
 def spark() -> SparkSession:
     """One local-mode SparkSession for the whole test session.
 
-    Master and driver memory come from ``PYSPARK_SUBMIT_ARGS`` (set above,
-    pre-JVM-launch). Per-session configs that *are* honoured post-launch
-    (shuffle partitions, Arrow, broadcast threshold) are set here.
-    Broadcast joins are disabled, as in ``jobs/_common.py``. Materialized
-    graphs keep their edges in one partition, so the shuffle partition
-    count reaches only lazy frames and the exchanges the planner still
-    adds (DESIGN.md §5).
+    Driver memory comes from ``PYSPARK_SUBMIT_ARGS`` (set above,
+    pre-JVM-launch); every other setting, the master included, is the
+    harness's one session config (:func:`repro.core.session.build`).
     """
-    s = (
-        SparkSession.builder.appName("repro")
-        .config(
-            "spark.sql.shuffle.partitions",
-            os.environ.get("SPARK_SHUFFLE_PARTITIONS", "64"),
-        )
-        .config("spark.sql.execution.arrow.pyspark.enabled", "true")
-        .config("spark.sql.autoBroadcastJoinThreshold", -1)
-        .getOrCreate()
-    )
+    s = session.build("repro")
     # One line in test_output.txt that tells the driver whether the
     # cgroup derivation saw the real limit (README § Spark target).
     print(

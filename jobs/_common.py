@@ -1,50 +1,27 @@
 """Shared plumbing for the spark-submit job entrypoints.
 
-Mirrors the test-session Spark configuration from ``conftest.py``
-(shuffle partitions, Arrow, broadcast joins disabled) and provides the
-standard CLI knobs: ``--scale`` (dataset size multiplier), ``--rhos``
+The standard CLI knobs: ``--scale`` (dataset size multiplier), ``--rhos``
 (prune-rate sweep), ``--runs`` (seeds for non-deterministic
-sparsifiers), ``--seed``, ``--sparsifiers`` (abbreviation subset).
+sparsifiers), ``--seed``, ``--sparsifiers`` (abbreviation subset). Every
+figure job is one :func:`run_figure` call; the session is
+:func:`repro.core.session.build`'s.
 """
 from __future__ import annotations
 
 import argparse
-import os
+import inspect
 
-from pyspark.sql import SparkSession
-
-
-def get_spark(app: str) -> SparkSession:
-    s = (
-        SparkSession.builder.appName(app)
-        .master(os.environ.get("SPARK_MASTER", "local[*]"))
-        .config(
-            # Materialized graphs and checkpoints keep one partition, which
-            # plans no shuffle; this count reaches only lazy frames (a
-            # stand-in before its cache) and the exchanges the planner
-            # still adds (DESIGN.md §5). Override for bigger inputs.
-            "spark.sql.shuffle.partitions",
-            os.environ.get("SPARK_SHUFFLE_PARTITIONS", "16"),
-        )
-        .config("spark.default.parallelism", 16)
-        .config("spark.sql.execution.arrow.pyspark.enabled", "true")
-        .config("spark.sql.autoBroadcastJoinThreshold", -1)
-        .config("spark.ui.enabled", "false")
-        # Keeps results/*.err to warnings, not progress-bar fragments.
-        .config("spark.ui.showConsoleProgress", "false")
-        .getOrCreate()
-    )
-    s.sparkContext.setLogLevel("ERROR")
-    return s
+from repro.core import figures, session
+from repro.core.tables import print_table
 
 
-def std_parser(desc: str, *, default_rhos=(0.1, 0.3, 0.5, 0.7, 0.9)) -> argparse.ArgumentParser:
+def std_parser(desc: str) -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(description=desc)
     p.add_argument("--scale", type=float, default=1.0, help="dataset size multiplier")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--runs", type=int, default=2, help="seeds for non-deterministic sparsifiers")
     p.add_argument(
-        "--rhos", type=float, nargs="+", default=list(default_rhos),
+        "--rhos", type=float, nargs="+", default=[0.1, 0.3, 0.5, 0.7, 0.9],
         help="prune rates to sweep",
     )
     p.add_argument(
@@ -54,12 +31,31 @@ def std_parser(desc: str, *, default_rhos=(0.1, 0.3, 0.5, 0.7, 0.9)) -> argparse
     return p
 
 
-def print_results(title: str, results: dict) -> None:
-    """Print every DataFrame in a figure-result dict as a pipe table."""
-    from repro.core.tables import print_table
+def figure_kwargs(figure, args: argparse.Namespace) -> dict:
+    """Keyword arguments of ``figure`` from the standard arguments.
 
+    ``--sparsifiers`` replaces every list named ``sparsifiers`` or
+    ``sparsifiers_*`` (both of Fig 11's panels); a list named otherwise,
+    such as Fig 4's ``diam_sparsifiers``, keeps the figure's default.
+    """
+    kwargs = dict(scale=args.scale, rhos=args.rhos, n_runs=args.runs, seed=args.seed)
+    if args.sparsifiers:
+        for name in inspect.signature(figure).parameters:
+            if name == "sparsifiers" or name.startswith("sparsifiers_"):
+                kwargs[name] = args.sparsifiers
+    return kwargs
+
+
+def run_figure(doc: str, name: str, title: str) -> None:
+    """The job of figure function ``figures.<name>``: parse the standard
+    arguments (``doc`` is the job's help text), run the figure in a session
+    named ``name``, print every table under ``title``, and stop the session."""
+    args = std_parser(doc).parse_args()
+    figure = getattr(figures, name)
+    spark = session.build(name)
+    results = figure(spark, **figure_kwargs(figure, args))
     print(f"\n# {title}")
     for key, df in results.items():
-        if key.startswith("raw"):
-            continue
-        print_table(key, df)
+        if not key.startswith("raw"):
+            print_table(key, df)
+    spark.stop()

@@ -2,15 +2,10 @@
 
 Usage: spark-submit jobs/fig03_quadratic_form.py [--scale S] [--rhos ...] [--runs N]
 """
-from _common import get_spark, print_results, std_parser
-from repro.core import figures
+from _common import run_figure
 
 if __name__ == "__main__":
-    args = std_parser(__doc__).parse_args()
-    spark = get_spark("fig03_quadratic_form")
-    kwargs = dict(scale=args.scale, rhos=args.rhos, n_runs=args.runs, seed=args.seed)
-    if args.sparsifiers:
-        kwargs["sparsifiers"] = args.sparsifiers
-    results = figures.fig03_quadratic_form(spark, **kwargs)
-    print_results("Fig 3: Laplacian quadratic form ratio on amazon_lite", results)
-    spark.stop()
+    run_figure(
+        __doc__, "fig03_quadratic_form",
+        "Fig 3: Laplacian quadratic form ratio on amazon_lite",
+    )

@@ -2,15 +2,10 @@
 
 Usage: spark-submit jobs/fig05_betweenness_closeness.py [--scale S] [--rhos ...] [--runs N]
 """
-from _common import get_spark, print_results, std_parser
-from repro.core import figures
+from _common import run_figure
 
 if __name__ == "__main__":
-    args = std_parser(__doc__).parse_args()
-    spark = get_spark("fig05_betweenness_closeness")
-    kwargs = dict(scale=args.scale, rhos=args.rhos, n_runs=args.runs, seed=args.seed)
-    if args.sparsifiers:
-        kwargs["sparsifiers"] = args.sparsifiers
-    results = figures.fig05_betweenness_closeness(spark, **kwargs)
-    print_results("Fig 5: betweenness (dblp_lite) / closeness (astroph_lite) top-k precision", results)
-    spark.stop()
+    run_figure(
+        __doc__, "fig05_betweenness_closeness",
+        "Fig 5: betweenness (dblp_lite) / closeness (astroph_lite) top-k precision",
+    )

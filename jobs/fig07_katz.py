@@ -2,15 +2,10 @@
 
 Usage: spark-submit jobs/fig07_katz.py [--scale S] [--rhos ...] [--runs N]
 """
-from _common import get_spark, print_results, std_parser
-from repro.core import figures
+from _common import run_figure
 
 if __name__ == "__main__":
-    args = std_parser(__doc__).parse_args()
-    spark = get_spark("fig07_katz")
-    kwargs = dict(scale=args.scale, rhos=args.rhos, n_runs=args.runs, seed=args.seed)
-    if args.sparsifiers:
-        kwargs["sparsifiers"] = args.sparsifiers
-    results = figures.fig07_katz(spark, **kwargs)
-    print_results("Fig 7: Katz centrality top-k precision on twitter_lite", results)
-    spark.stop()
+    run_figure(
+        __doc__, "fig07_katz",
+        "Fig 7: Katz centrality top-k precision on twitter_lite",
+    )

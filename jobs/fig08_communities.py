@@ -2,15 +2,7 @@
 
 Usage: spark-submit jobs/fig08_communities.py [--scale S] [--rhos ...] [--runs N]
 """
-from _common import get_spark, print_results, std_parser
-from repro.core import figures
+from _common import run_figure
 
 if __name__ == "__main__":
-    args = std_parser(__doc__).parse_args()
-    spark = get_spark("fig08_communities")
-    kwargs = dict(scale=args.scale, rhos=args.rhos, n_runs=args.runs, seed=args.seed)
-    if args.sparsifiers:
-        kwargs["sparsifiers"] = args.sparsifiers
-    results = figures.fig08_communities(spark, **kwargs)
-    print_results("Fig 8: number of communities on dblp_lite", results)
-    spark.stop()
+    run_figure(__doc__, "fig08_communities", "Fig 8: number of communities on dblp_lite")

@@ -2,15 +2,10 @@
 
 Usage: spark-submit jobs/fig09_clustering_coefficients.py [--scale S] [--rhos ...] [--runs N]
 """
-from _common import get_spark, print_results, std_parser
-from repro.core import figures
+from _common import run_figure
 
 if __name__ == "__main__":
-    args = std_parser(__doc__).parse_args()
-    spark = get_spark("fig09_clustering_coefficients")
-    kwargs = dict(scale=args.scale, rhos=args.rhos, n_runs=args.runs, seed=args.seed)
-    if args.sparsifiers:
-        kwargs["sparsifiers"] = args.sparsifiers
-    results = figures.fig09_clustering_coefficients(spark, **kwargs)
-    print_results("Fig 9: MCC (amazon_lite) and GCC (gene_lite)", results)
-    spark.stop()
+    run_figure(
+        __doc__, "fig09_clustering_coefficients",
+        "Fig 9: MCC (amazon_lite) and GCC (gene_lite)",
+    )

@@ -2,15 +2,10 @@
 
 Usage: spark-submit jobs/fig10_clustering_f1.py [--scale S] [--rhos ...] [--runs N]
 """
-from _common import get_spark, print_results, std_parser
-from repro.core import figures
+from _common import run_figure
 
 if __name__ == "__main__":
-    args = std_parser(__doc__).parse_args()
-    spark = get_spark("fig10_clustering_f1")
-    kwargs = dict(scale=args.scale, rhos=args.rhos, n_runs=args.runs, seed=args.seed)
-    if args.sparsifiers:
-        kwargs["sparsifiers"] = args.sparsifiers
-    results = figures.fig10_clustering_f1(spark, **kwargs)
-    print_results("Fig 10: clustering F1 similarity on hepph_lite", results)
-    spark.stop()
+    run_figure(
+        __doc__, "fig10_clustering_f1",
+        "Fig 10: clustering F1 similarity on hepph_lite",
+    )

@@ -3,15 +3,7 @@ and facebook_lite (undirected).
 
 Usage: spark-submit jobs/fig11_pagerank.py [--scale S] [--rhos ...]
 """
-from _common import get_spark, print_results, std_parser
-from repro.core import figures
+from _common import run_figure
 
 if __name__ == "__main__":
-    args = std_parser(__doc__).parse_args()
-    spark = get_spark("fig11_pagerank")
-    kwargs = dict(scale=args.scale, rhos=args.rhos, n_runs=args.runs, seed=args.seed)
-    if args.sparsifiers:
-        kwargs["sparsifiers_a"] = kwargs["sparsifiers_b"] = args.sparsifiers
-    results = figures.fig11_pagerank(spark, **kwargs)
-    print_results("Fig 11: PageRank top-k precision", results)
-    spark.stop()
+    run_figure(__doc__, "fig11_pagerank", "Fig 11: PageRank top-k precision")

@@ -2,15 +2,10 @@
 
 Usage: spark-submit jobs/fig13_gnn.py [--scale S] [--rhos ...] [--runs N]
 """
-from _common import get_spark, print_results, std_parser
-from repro.core import figures
+from _common import run_figure
 
 if __name__ == "__main__":
-    args = std_parser(__doc__).parse_args()
-    spark = get_spark("fig13_gnn")
-    kwargs = dict(scale=args.scale, rhos=args.rhos, n_runs=args.runs, seed=args.seed)
-    if args.sparsifiers:
-        kwargs["sparsifiers"] = args.sparsifiers
-    results = figures.fig13_gnn(spark, **kwargs)
-    print_results("Fig 13: GraphSAGE (proteins_lite) and ClusterGCN (reddit_lite)", results)
-    spark.stop()
+    run_figure(
+        __doc__, "fig13_gnn",
+        "Fig 13: GraphSAGE (proteins_lite) and ClusterGCN (reddit_lite)",
+    )

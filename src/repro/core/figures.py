@@ -8,17 +8,20 @@ paper draws reference lines. ``jobs/`` are thin CLI wrappers around
 these; ``benchmarks/`` time them at reduced settings; EXPERIMENTS.md
 records their output against the paper's reported shapes.
 
-Sampled estimators precompute the original graph's side once per figure
-(distances, centrality scores, reference clusterings) and reuse it for
-every sparsified graph, exactly as the paper compares everything against
-a single full-graph ground truth. The top-k precision figures (5, 6, 7,
-11) keep only the original's top-k vertex set. ``datasets.load`` returns
-each graph cached and counted.
+Every figure panel is one :func:`_sweep`: a stand-in, a sparsifier
+list, a statistic taken once of the original, and a comparison of each
+sparsified graph with it, the paper's single full-graph ground truth
+(§3.2). The top-k panels (5, 6, 7, 11) share :func:`_top_k`. Sampled
+inputs (sources, pairs, test vectors) depend only on the vertex count
+and the seed, which sparsifiers keep, so every graph draws the same.
 """
 from __future__ import annotations
 
+from functools import partial
+from typing import Any, Callable, Mapping
+
 import pandas as pd
-from pyspark.sql import SparkSession
+from pyspark.sql import DataFrame, SparkSession
 
 from repro.core.experiment import run_sweep, sparsify_timed
 from repro.core.graph import Graph
@@ -28,22 +31,50 @@ from repro.graphs import datasets
 from repro.gnn.data import make_node_data
 from repro.gnn.train import empty_graph, eval_cluster_gcn, eval_graphsage
 from repro.metrics import (
-    betweenness,
-    centrality,
-    clustering,
-    connectivity,
-    degree,
-    flow,
-    paths,
-    quadratic,
+    betweenness, centrality, clustering, connectivity, degree, flow, paths, quadratic,
 )
 
 DEFAULT_RHOS = [0.1, 0.3, 0.5, 0.7, 0.9]
 
 
-def _topk_for(g: Graph, k: int) -> int:
-    """Paper uses top-100; clamp for small test-scale graphs."""
-    return max(5, min(k, g.n // 4))
+def _sweep(
+    spark: SparkSession, dataset: str, sparsifiers, stat: Callable[[datasets.Dataset], Any],
+    score: Callable[[Any, Graph], Mapping[str, float]], *,
+    scale: float, rhos, n_runs: int, seed: int,
+) -> tuple[Any, pd.DataFrame]:
+    """One sweep panel: load ``dataset``, take ``ref = stat(ds)`` of the
+    original once (``ds`` is the loaded stand-in; Fig 13 reads its labels),
+    and run the sweep with ``score(ref, h)`` as the metric of every
+    sparsified graph ``h``. Returns ``(ref, run_sweep rows)``."""
+    ds = datasets.load(spark, dataset, scale=scale, seed=seed)
+    ref = stat(ds)
+    res = run_sweep(
+        ds.graph, sparsifiers, rhos, lambda h: score(ref, h), n_runs=n_runs, base_seed=seed
+    )
+    return ref, res
+
+
+def _top_k(scores: Callable[[Graph], DataFrame], top_k: int, key: str):
+    """``(stat, score)`` of a top-k precision panel (§3.3.3): the
+    original's top-k vertex set is taken once, and each sparsified graph
+    scores the share of it that its own top-k keeps."""
+
+    def stat(ds: datasets.Dataset) -> tuple[set[int], int]:
+        k = max(5, min(top_k, ds.graph.n // 4))  # the paper's 100, clamped on small graphs
+        return centrality.top_k(scores(ds.graph), k), k
+
+    def score(ref: tuple[set[int], int], h: Graph) -> dict[str, float]:
+        top, k = ref
+        return {key: centrality.top_k_precision(top, scores(h), k=k)}
+
+    return stat, score
+
+
+def _pivots(res: pd.DataFrame, suffix: str = "") -> dict[str, pd.DataFrame]:
+    """The figure layout of every metric key in a sweep's rows, named ``key + suffix``."""
+    fixed = {"sparsifier", "rho", "achieved_rho", "spar_time_s"}
+    keys = [c for c in res.columns if c not in fixed and not c.endswith("_std")]
+    return {k + suffix: pivot_sweep(res, k) for k in keys}
 
 
 # ---------------------------------------------------------------- tables
@@ -141,24 +172,14 @@ def fig01_connectivity(
     dataset: str = "astroph_lite",
 ) -> dict[str, pd.DataFrame]:
     """Fig 1: pair-unreachable and vertex-isolated ratio vs prune rate."""
-    g = datasets.load(spark, dataset, scale=scale, seed=seed).graph
-
-    def metric(h: Graph) -> dict[str, float]:
-        return {
-            "unreachable": connectivity.unreachable_ratio(h),
-            "isolated": connectivity.isolated_ratio(h),
-        }
-
-    res = run_sweep(g, sparsifiers, rhos, metric, n_runs=n_runs, base_seed=seed)
-    ref = pd.DataFrame(
-        [{"unreachable": connectivity.unreachable_ratio(g), "isolated": 0.0}]
+    unreachable, res = _sweep(
+        spark, dataset, sparsifiers, lambda ds: connectivity.unreachable_ratio(ds.graph),
+        lambda _, h: {"unreachable": connectivity.unreachable_ratio(h),
+                      "isolated": connectivity.isolated_ratio(h)},
+        scale=scale, rhos=rhos, n_runs=n_runs, seed=seed,
     )
-    return {
-        "unreachable": pivot_sweep(res, "unreachable"),
-        "isolated": pivot_sweep(res, "isolated"),
-        "raw": res,
-        "original": ref,
-    }
+    ref = pd.DataFrame([{"unreachable": unreachable, "isolated": 0.0}])
+    return {**_pivots(res), "raw": res, "original": ref}
 
 
 # ------------------------------------------------------------- figure 2
@@ -171,14 +192,12 @@ def fig02_degree_distribution(
     dataset: str = "proteins_lite",
 ) -> dict[str, pd.DataFrame]:
     """Fig 2: Bhattacharyya distance of degree distributions (lower=better)."""
-    g = datasets.load(spark, dataset, scale=scale, seed=seed).graph
-    p = degree.degree_histogram(g)
-
-    def metric(h: Graph) -> dict[str, float]:
-        return {"bhattacharyya": degree.bhattacharyya(p, degree.degree_histogram(h))}
-
-    res = run_sweep(g, sparsifiers, rhos, metric, n_runs=n_runs, base_seed=seed)
-    return {"bhattacharyya": pivot_sweep(res, "bhattacharyya"), "raw": res}
+    _, res = _sweep(
+        spark, dataset, sparsifiers, lambda ds: degree.degree_histogram(ds.graph),
+        lambda p, h: {"bhattacharyya": degree.bhattacharyya(p, degree.degree_histogram(h))},
+        scale=scale, rhos=rhos, n_runs=n_runs, seed=seed,
+    )
+    return {**_pivots(res), "raw": res}
 
 
 # ------------------------------------------------------------- figure 3
@@ -191,16 +210,17 @@ def fig03_quadratic_form(
     dataset: str = "amazon_lite", k_vectors: int = 100,
 ) -> dict[str, pd.DataFrame]:
     """Fig 3: mean Laplacian quadratic form ratio (closer to 1 is better)."""
-    g = datasets.load(spark, dataset, scale=scale, seed=seed).graph
-    vectors = quadratic.random_vectors(g.n, k_vectors, seed=seed)
-    qf0 = quadratic.quadratic_forms(g, vectors)
 
-    def metric(h: Graph) -> dict[str, float]:
-        qf1 = quadratic.quadratic_forms(h, vectors)
-        return {"qf_ratio": quadratic.quadratic_form_ratio(qf0, qf1)}
+    def forms(g: Graph):
+        vectors = quadratic.random_vectors(g.n, k_vectors, seed=seed)
+        return quadratic.quadratic_forms(g, vectors)
 
-    res = run_sweep(g, sparsifiers, rhos, metric, n_runs=n_runs, base_seed=seed)
-    return {"qf_ratio": pivot_sweep(res, "qf_ratio"), "raw": res}
+    _, res = _sweep(
+        spark, dataset, sparsifiers, lambda ds: forms(ds.graph),
+        lambda qf0, h: {"qf_ratio": quadratic.quadratic_form_ratio(qf0, forms(h))},
+        scale=scale, rhos=rhos, n_runs=n_runs, seed=seed,
+    )
+    return {**_pivots(res), "raw": res}
 
 
 # ------------------------------------------------------------- figure 4
@@ -216,35 +236,27 @@ def fig04_distance(
     diam_sparsifiers=FIG4C_SPARSIFIERS,
 ) -> dict[str, pd.DataFrame]:
     """Fig 4: (a) SPSP stretch, (b) eccentricity stretch, (c) diameter."""
-    g = datasets.load(spark, dataset_ab, scale=scale, seed=seed).graph
-    sources = paths.sample_sources(g, n_sources, seed=seed)
-    d0 = paths.multi_source_distances(g, sources)
+    sweep = dict(scale=scale, rhos=rhos, n_runs=n_runs, seed=seed)
+    diameter = partial(paths.approx_diameter, n_seeds=diameter_seeds, seed=seed)
 
-    def metric(h: Graph) -> dict[str, float]:
-        d1 = paths.multi_source_distances(h, sources)
-        stretch, unreachable = paths.spsp_stretch(d0, d1)
-        return {
-            "spsp_stretch": stretch,
-            "unreachable": unreachable,
-            "ecc_stretch": paths.eccentricity_stretch(d0, d1),
-        }
+    def distances(g: Graph):
+        sources = paths.sample_sources(g, n_sources, seed=seed)
+        return paths.multi_source_distances(g, sources)
 
-    res = run_sweep(g, sparsifiers, rhos, metric, n_runs=n_runs, base_seed=seed)
+    def stretch(d0, h: Graph) -> dict[str, float]:
+        d1 = distances(h)
+        spsp, unreachable = paths.spsp_stretch(d0, d1)
+        return {"spsp_stretch": spsp, "unreachable": unreachable,
+                "ecc_stretch": paths.eccentricity_stretch(d0, d1)}
 
-    gc = datasets.load(spark, dataset_c, scale=scale, seed=seed).graph
-    diam_orig = paths.approx_diameter(gc, n_seeds=diameter_seeds, seed=seed)
-
-    def metric_diam(h: Graph) -> dict[str, float]:
-        return {"diameter": paths.approx_diameter(h, n_seeds=diameter_seeds, seed=seed)}
-
-    res_c = run_sweep(gc, diam_sparsifiers, rhos, metric_diam, n_runs=n_runs, base_seed=seed)
+    _, res = _sweep(spark, dataset_ab, sparsifiers, lambda ds: distances(ds.graph), stretch,
+                    **sweep)
+    diam_orig, res_c = _sweep(
+        spark, dataset_c, diam_sparsifiers, lambda ds: diameter(ds.graph),
+        lambda _, h: {"diameter": diameter(h)}, **sweep,
+    )
     return {
-        "spsp_stretch": pivot_sweep(res, "spsp_stretch"),
-        "unreachable": pivot_sweep(res, "unreachable"),
-        "ecc_stretch": pivot_sweep(res, "ecc_stretch"),
-        "diameter": pivot_sweep(res_c, "diameter"),
-        "raw": res,
-        "raw_diameter": res_c,
+        **_pivots(res), **_pivots(res_c), "raw": res, "raw_diameter": res_c,
         "original": pd.DataFrame([{"diameter_full": diam_orig}]),
     }
 
@@ -260,36 +272,17 @@ def fig05_betweenness_closeness(
     dataset_bet: str = "dblp_lite", dataset_clo: str = "astroph_lite",
 ) -> dict[str, pd.DataFrame]:
     """Fig 5: top-k precision of betweenness (a) and closeness (b)."""
-    outputs: dict[str, pd.DataFrame] = {}
-
-    g_b = datasets.load(spark, dataset_bet, scale=scale, seed=seed).graph
-    k_b = _topk_for(g_b, top_k)
-    sources_b = paths.sample_sources(g_b, n_sources, seed=seed)
-    ref_b = centrality.top_k(
-        betweenness.betweenness_scores(g_b, sources=sources_b), k_b
-    )
-
-    def metric_b(h: Graph) -> dict[str, float]:
-        sc = betweenness.betweenness_scores(h, sources=sources_b)
-        return {"betweenness_p": centrality.top_k_precision(ref_b, sc, k=k_b)}
-
-    res_b = run_sweep(g_b, sparsifiers, rhos, metric_b, n_runs=n_runs, base_seed=seed)
-    outputs["betweenness_p"] = pivot_sweep(res_b, "betweenness_p")
-    outputs["raw_betweenness"] = res_b
-
-    g_c = datasets.load(spark, dataset_clo, scale=scale, seed=seed).graph
-    k_c = _topk_for(g_c, top_k)
-    sources_c = paths.sample_sources(g_c, n_sources, seed=seed)
-    ref_c = centrality.top_k(centrality.closeness_approx(g_c, sources=sources_c), k_c)
-
-    def metric_c(h: Graph) -> dict[str, float]:
-        sc = centrality.closeness_approx(h, sources=sources_c)
-        return {"closeness_p": centrality.top_k_precision(ref_c, sc, k=k_c)}
-
-    res_c = run_sweep(g_c, sparsifiers, rhos, metric_c, n_runs=n_runs, base_seed=seed)
-    outputs["closeness_p"] = pivot_sweep(res_c, "closeness_p")
-    outputs["raw_closeness"] = res_c
-    return outputs
+    sweep = dict(scale=scale, rhos=rhos, n_runs=n_runs, seed=seed)
+    sources = partial(paths.sample_sources, k=n_sources, seed=seed)
+    _, res_b = _sweep(spark, dataset_bet, sparsifiers, *_top_k(
+        lambda g: betweenness.betweenness_scores(g, sources=sources(g)), top_k,
+        "betweenness_p",
+    ), **sweep)
+    _, res_c = _sweep(spark, dataset_clo, sparsifiers, *_top_k(
+        lambda g: centrality.closeness_approx(g, sources=sources(g)), top_k, "closeness_p"
+    ), **sweep)
+    return {**_pivots(res_b), "raw_betweenness": res_b,
+            **_pivots(res_c), "raw_closeness": res_c}
 
 
 # ------------------------------------------------------------- figure 6
@@ -302,16 +295,10 @@ def fig06_eigenvector(
     top_k: int = 100, dataset: str = "enron_lite", iters: int = 40,
 ) -> dict[str, pd.DataFrame]:
     """Fig 6: eigenvector centrality top-k precision."""
-    g = datasets.load(spark, dataset, scale=scale, seed=seed).graph
-    k = _topk_for(g, top_k)
-    ref = centrality.top_k(centrality.eigenvector_centrality(g, iters=iters), k)
-
-    def metric(h: Graph) -> dict[str, float]:
-        sc = centrality.eigenvector_centrality(h, iters=iters)
-        return {"eigenvector_p": centrality.top_k_precision(ref, sc, k=k)}
-
-    res = run_sweep(g, sparsifiers, rhos, metric, n_runs=n_runs, base_seed=seed)
-    return {"eigenvector_p": pivot_sweep(res, "eigenvector_p"), "raw": res}
+    _, res = _sweep(spark, dataset, sparsifiers, *_top_k(
+        lambda g: centrality.eigenvector_centrality(g, iters=iters), top_k, "eigenvector_p"
+    ), scale=scale, rhos=rhos, n_runs=n_runs, seed=seed)
+    return {**_pivots(res), "raw": res}
 
 
 # ------------------------------------------------------------- figure 7
@@ -324,16 +311,10 @@ def fig07_katz(
     top_k: int = 100, dataset: str = "twitter_lite", iters: int = 30,
 ) -> dict[str, pd.DataFrame]:
     """Fig 7: Katz centrality top-k precision (directed graph)."""
-    g = datasets.load(spark, dataset, scale=scale, seed=seed).graph
-    k = _topk_for(g, top_k)
-    ref = centrality.top_k(centrality.katz_centrality(g, iters=iters), k)
-
-    def metric(h: Graph) -> dict[str, float]:
-        sc = centrality.katz_centrality(h, iters=iters)
-        return {"katz_p": centrality.top_k_precision(ref, sc, k=k)}
-
-    res = run_sweep(g, sparsifiers, rhos, metric, n_runs=n_runs, base_seed=seed)
-    return {"katz_p": pivot_sweep(res, "katz_p"), "raw": res}
+    _, res = _sweep(spark, dataset, sparsifiers, *_top_k(
+        lambda g: centrality.katz_centrality(g, iters=iters), top_k, "katz_p"
+    ), scale=scale, rhos=rhos, n_runs=n_runs, seed=seed)
+    return {**_pivots(res), "raw": res}
 
 
 # ------------------------------------------------------------- figure 8
@@ -346,18 +327,13 @@ def fig08_communities(
     dataset: str = "dblp_lite",
 ) -> dict[str, pd.DataFrame]:
     """Fig 8: number of LPA communities vs prune rate."""
-    g = datasets.load(spark, dataset, scale=scale, seed=seed).graph
-    ref = clustering.num_communities(g)
-
-    def metric(h: Graph) -> dict[str, float]:
-        return {"communities": float(clustering.num_communities(h))}
-
-    res = run_sweep(g, sparsifiers, rhos, metric, n_runs=n_runs, base_seed=seed)
-    return {
-        "communities": pivot_sweep(res, "communities"),
-        "raw": res,
-        "original": pd.DataFrame([{"communities_full": ref}]),
-    }
+    ref, res = _sweep(
+        spark, dataset, sparsifiers, lambda ds: clustering.num_communities(ds.graph),
+        lambda _, h: {"communities": float(clustering.num_communities(h))},
+        scale=scale, rhos=rhos, n_runs=n_runs, seed=seed,
+    )
+    ref = pd.DataFrame([{"communities_full": ref}])
+    return {**_pivots(res), "raw": res, "original": ref}
 
 
 # ------------------------------------------------------------- figure 9
@@ -370,26 +346,15 @@ def fig09_clustering_coefficients(
     dataset_mcc: str = "amazon_lite", dataset_gcc: str = "gene_lite",
 ) -> dict[str, pd.DataFrame]:
     """Fig 9: (a) mean and (b) global clustering coefficient vs rho."""
-    g_m = datasets.load(spark, dataset_mcc, scale=scale, seed=seed).graph
-    mcc_orig = clustering.mean_clustering_coefficient(g_m)
-
-    def metric_m(h: Graph) -> dict[str, float]:
-        return {"mcc": clustering.mean_clustering_coefficient(h)}
-
-    res_m = run_sweep(g_m, sparsifiers, rhos, metric_m, n_runs=n_runs, base_seed=seed)
-
-    g_g = datasets.load(spark, dataset_gcc, scale=scale, seed=seed).graph
-    gcc_orig = clustering.global_clustering_coefficient(g_g)
-
-    def metric_g(h: Graph) -> dict[str, float]:
-        return {"gcc": clustering.global_clustering_coefficient(h)}
-
-    res_g = run_sweep(g_g, sparsifiers, rhos, metric_g, n_runs=n_runs, base_seed=seed)
+    sweep = dict(scale=scale, rhos=rhos, n_runs=n_runs, seed=seed)
+    mcc = clustering.mean_clustering_coefficient
+    gcc = clustering.global_clustering_coefficient
+    mcc_orig, res_m = _sweep(spark, dataset_mcc, sparsifiers, lambda ds: mcc(ds.graph),
+                             lambda _, h: {"mcc": mcc(h)}, **sweep)
+    gcc_orig, res_g = _sweep(spark, dataset_gcc, sparsifiers, lambda ds: gcc(ds.graph),
+                             lambda _, h: {"gcc": gcc(h)}, **sweep)
     return {
-        "mcc": pivot_sweep(res_m, "mcc"),
-        "gcc": pivot_sweep(res_g, "gcc"),
-        "raw_mcc": res_m,
-        "raw_gcc": res_g,
+        **_pivots(res_m), **_pivots(res_g), "raw_mcc": res_m, "raw_gcc": res_g,
         "original": pd.DataFrame([{"mcc_full": mcc_orig, "gcc_full": gcc_orig}]),
     }
 
@@ -404,15 +369,13 @@ def fig10_clustering_f1(
     dataset: str = "hepph_lite",
 ) -> dict[str, pd.DataFrame]:
     """Fig 10: clustering F1 similarity vs the original graph's clustering."""
-    g = datasets.load(spark, dataset, scale=scale, seed=seed).graph
-    ref_labels = clustering.lpa_communities(g)
-
-    def metric(h: Graph) -> dict[str, float]:
-        lab = clustering.lpa_communities(h)
-        return {"f1": clustering.clustering_f1(lab, ref_labels, g.n)}
-
-    res = run_sweep(g, sparsifiers, rhos, metric, n_runs=n_runs, base_seed=seed)
-    return {"f1": pivot_sweep(res, "f1"), "raw": res}
+    lpa = clustering.lpa_communities
+    _, res = _sweep(
+        spark, dataset, sparsifiers, lambda ds: lpa(ds.graph),
+        lambda ref, h: {"f1": clustering.clustering_f1(lpa(h), ref, h.n)},
+        scale=scale, rhos=rhos, n_runs=n_runs, seed=seed,
+    )
+    return {**_pivots(res), "raw": res}
 
 
 # ------------------------------------------------------------ figure 11
@@ -429,22 +392,14 @@ def fig11_pagerank(
 ) -> dict[str, pd.DataFrame]:
     """Fig 11: PageRank top-k precision on a directed web graph (a) and an
     undirected social graph (b)."""
+    pair = _top_k(lambda g: centrality.pagerank(g, iters=iters), top_k, "pagerank_p")
     out: dict[str, pd.DataFrame] = {}
     for tag, name, sparsifiers in (
-        ("a", dataset_a, sparsifiers_a),
-        ("b", dataset_b, sparsifiers_b),
+        ("a", dataset_a, sparsifiers_a), ("b", dataset_b, sparsifiers_b)
     ):
-        g = datasets.load(spark, name, scale=scale, seed=seed).graph
-        k = _topk_for(g, top_k)
-        ref = centrality.top_k(centrality.pagerank(g, iters=iters), k)
-
-        def metric(h: Graph, _ref=ref, _k=k) -> dict[str, float]:
-            sc = centrality.pagerank(h, iters=iters)
-            return {"pagerank_p": centrality.top_k_precision(_ref, sc, k=_k)}
-
-        res = run_sweep(g, sparsifiers, rhos, metric, n_runs=n_runs, base_seed=seed)
-        out[f"pagerank_p_{tag}"] = pivot_sweep(res, "pagerank_p")
-        out[f"raw_{tag}"] = res
+        _, res = _sweep(spark, name, sparsifiers, *pair,
+                        scale=scale, rhos=rhos, n_runs=n_runs, seed=seed)
+        out.update({**_pivots(res, f"_{tag}"), f"raw_{tag}": res})
     return out
 
 
@@ -458,20 +413,17 @@ def fig12_mincut_maxflow(
     n_pairs: int = 24, dataset: str = "hepph_lite",
 ) -> dict[str, pd.DataFrame]:
     """Fig 12: mean max-flow stretch over sampled pairs (closer to 1 best)."""
-    g = datasets.load(spark, dataset, scale=scale, seed=seed).graph
-    pairs = flow.sample_pairs(g, n_pairs, seed=seed)
-    f0 = flow.max_flow_values(g, pairs)
 
-    def metric(h: Graph) -> dict[str, float]:
-        stretch, zero_frac = flow.maxflow_stretch(f0, flow.max_flow_values(h, pairs))
-        return {"flow_stretch": stretch, "flow_zero_frac": zero_frac}
+    def flows(g: Graph):
+        return flow.max_flow_values(g, flow.sample_pairs(g, n_pairs, seed=seed))
 
-    res = run_sweep(g, sparsifiers, rhos, metric, n_runs=n_runs, base_seed=seed)
-    return {
-        "flow_stretch": pivot_sweep(res, "flow_stretch"),
-        "flow_zero_frac": pivot_sweep(res, "flow_zero_frac"),
-        "raw": res,
-    }
+    def stretch(f0, h: Graph) -> dict[str, float]:
+        ratio, zero_frac = flow.maxflow_stretch(f0, flows(h))
+        return {"flow_stretch": ratio, "flow_zero_frac": zero_frac}
+
+    _, res = _sweep(spark, dataset, sparsifiers, lambda ds: flows(ds.graph), stretch,
+                    scale=scale, rhos=rhos, n_runs=n_runs, seed=seed)
+    return {**_pivots(res), "raw": res}
 
 
 # ------------------------------------------------------------ figure 13
@@ -486,49 +438,37 @@ def fig13_gnn(
 ) -> dict[str, pd.DataFrame]:
     """Fig 13: GraphSAGE (a) and ClusterGCN (b) trained on sparsified
     graphs, tested on the full graph; green/red reference lines included."""
-    out: dict[str, pd.DataFrame] = {}
+    sweep = dict(scale=scale, rhos=rhos, n_runs=n_runs, seed=seed)
 
-    ds_a = datasets.load(spark, dataset_sage, scale=scale, seed=seed)
-    data_a = make_node_data(ds_a.labels, seed=seed, signal=signal)
-    full_a = eval_graphsage(ds_a.graph, ds_a.graph, data_a, seed=seed, epochs=epochs_sage)
-    mlp_a = eval_graphsage(
-        empty_graph(ds_a.graph), ds_a.graph, data_a, seed=seed, epochs=epochs_sage
+    def trainer(evaluate, epochs: int):
+        """A panel's ``stat``: train on a graph, test on the full graph; with
+        the results of the full graph (green line) and of no edges (red)."""
+
+        def stat(ds: datasets.Dataset):
+            data = make_node_data(ds.labels, seed=seed, signal=signal)
+            run = partial(evaluate, full_graph=ds.graph, data=data, seed=seed,
+                          epochs=epochs)
+            return run, run(ds.graph), run(empty_graph(ds.graph))
+
+        return stat
+
+    (_, full_a, mlp_a), res_a = _sweep(
+        spark, dataset_sage, sparsifiers, trainer(eval_graphsage, epochs_sage),
+        lambda ref, h: {"sage_auroc": (r := ref[0](h)).auroc, "sage_acc": r.accuracy},
+        **sweep,
     )
-
-    def metric_a(h: Graph) -> dict[str, float]:
-        r = eval_graphsage(h, ds_a.graph, data_a, seed=seed, epochs=epochs_sage)
-        return {"sage_auroc": r.auroc, "sage_acc": r.accuracy}
-
-    res_a = run_sweep(ds_a.graph, sparsifiers, rhos, metric_a, n_runs=n_runs, base_seed=seed)
-    out["sage_auroc"] = pivot_sweep(res_a, "sage_auroc")
-    out["sage_acc"] = pivot_sweep(res_a, "sage_acc")
-    out["raw_sage"] = res_a
-
-    ds_b = datasets.load(spark, dataset_cgcn, scale=scale, seed=seed)
-    data_b = make_node_data(ds_b.labels, seed=seed, signal=signal)
-    full_b = eval_cluster_gcn(ds_b.graph, ds_b.graph, data_b, seed=seed, epochs=epochs_cgcn)
-    mlp_b = eval_cluster_gcn(
-        empty_graph(ds_b.graph), ds_b.graph, data_b, seed=seed, epochs=epochs_cgcn
+    (_, full_b, mlp_b), res_b = _sweep(
+        spark, dataset_cgcn, sparsifiers, trainer(eval_cluster_gcn, epochs_cgcn),
+        lambda ref, h: {"cgcn_acc": (r := ref[0](h)).accuracy, "cgcn_auroc": r.auroc},
+        **sweep,
     )
-
-    def metric_b(h: Graph) -> dict[str, float]:
-        r = eval_cluster_gcn(h, ds_b.graph, data_b, seed=seed, epochs=epochs_cgcn)
-        return {"cgcn_acc": r.accuracy, "cgcn_auroc": r.auroc}
-
-    res_b = run_sweep(ds_b.graph, sparsifiers, rhos, metric_b, n_runs=n_runs, base_seed=seed)
-    out["cgcn_acc"] = pivot_sweep(res_b, "cgcn_acc")
-    out["cgcn_auroc"] = pivot_sweep(res_b, "cgcn_auroc")
-    out["raw_cgcn"] = res_b
-    out["original"] = pd.DataFrame(
-        [
-            {
-                "sage_full_auroc": full_a.auroc, "sage_mlp_auroc": mlp_a.auroc,
-                "sage_full_acc": full_a.accuracy, "sage_mlp_acc": mlp_a.accuracy,
-                "cgcn_full_acc": full_b.accuracy, "cgcn_mlp_acc": mlp_b.accuracy,
-            }
-        ]
-    )
-    return out
+    ref = {
+        "sage_full_auroc": full_a.auroc, "sage_mlp_auroc": mlp_a.auroc,
+        "sage_full_acc": full_a.accuracy, "sage_mlp_acc": mlp_a.accuracy,
+        "cgcn_full_acc": full_b.accuracy, "cgcn_mlp_acc": mlp_b.accuracy,
+    }
+    return {**_pivots(res_a), "raw_sage": res_a, **_pivots(res_b), "raw_cgcn": res_b,
+            "original": pd.DataFrame([ref])}
 
 
 # ------------------------------------------------------------ figure 14
@@ -541,10 +481,6 @@ def fig14_sparsification_time(
     dataset: str = "proteins_lite",
 ) -> dict[str, pd.DataFrame]:
     """Fig 14: sparsification wall time per sparsifier and prune rate."""
-    g = datasets.load(spark, dataset, scale=scale, seed=seed).graph
-
-    def metric(h: Graph) -> dict[str, float]:
-        return {}
-
-    res = run_sweep(g, sparsifiers, rhos, metric, n_runs=n_runs, base_seed=seed)
+    _, res = _sweep(spark, dataset, sparsifiers, lambda ds: None, lambda _, h: {},
+                    scale=scale, rhos=rhos, n_runs=n_runs, seed=seed)
     return {"spar_time_s": pivot_sweep(res, "spar_time_s"), "raw": res}

@@ -48,6 +48,9 @@ class Graph:
     n: int
     name: str = ""
     _m: int | None = field(default=None, repr=False, compare=False)
+    # False when the edges are a driver-side edge list or a checkpoint:
+    # Spark has no plan behind them to truncate.
+    _lineage: bool = field(default=True, repr=False, compare=False)
 
     # -- construction -------------------------------------------------
     @staticmethod
@@ -91,7 +94,8 @@ class Graph:
         Canonicalizes as :meth:`from_edges` does, but in pandas: the
         frame handed to Spark needs no ``groupBy`` (under adaptive
         execution an exchange is a Spark job of its own). Rows arrive
-        sorted by ``(src, dst)``.
+        sorted by ``(src, dst)``, in one partition, already counted: the
+        graph is materialized without a Spark job.
         """
         src = pdf["src"].to_numpy(np.int64)
         dst = pdf["dst"].to_numpy(np.int64)
@@ -108,8 +112,11 @@ class Graph:
             .groupby(["src", "dst"], as_index=False, sort=True)["weight"]
             .max()
         )
-        edges = spark.createDataFrame(canonical, schema=EDGE_SCHEMA)
-        return Graph(edges=edges, directed=directed, weighted=weighted, n=n, name=name)
+        edges = spark.createDataFrame(canonical, schema=EDGE_SCHEMA).coalesce(1)
+        return Graph(
+            edges=edges, directed=directed, weighted=weighted, n=n, name=name,
+            _m=len(canonical), _lineage=False,
+        )
 
     # -- basic accessors ----------------------------------------------
     @property
@@ -126,7 +133,8 @@ class Graph:
     def with_edges(self, edges: DataFrame, *, name: str | None = None) -> "Graph":
         """Same graph type over a new edge set (sparsifier output)."""
         return replace(
-            self, edges=edges, name=self.name if name is None else name, _m=None
+            self, edges=edges, name=self.name if name is None else name, _m=None,
+            _lineage=True,
         )
 
     def vertices(self) -> DataFrame:
@@ -231,6 +239,11 @@ class Graph:
         cost one Spark job after the edges' own exchanges. A checkpoint
         reports no partitioning, so it is read back through ``coalesce(1)``
         (as :func:`repro.core.iterate.materialize` does).
+
+        A graph without lineage (a driver-side edge list, an earlier
+        checkpoint) is returned as is, with no Spark job.
         """
+        if not self._lineage:
+            return self
         edges = self.edges.coalesce(1).localCheckpoint(eager=False).coalesce(1)
-        return replace(self, edges=edges, _m=edges.count())
+        return replace(self, edges=edges, _m=edges.count(), _lineage=False)

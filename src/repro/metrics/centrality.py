@@ -133,12 +133,18 @@ def closeness_approx(g: Graph, *, sources: list[int]) -> DataFrame:
     number of sampled sources that reach v — proportional to the
     Wasserman–Faust closeness estimate. Distances run along *incoming*
     paths for directed graphs (closeness uses d(u, v), §2.2.3).
+
+    Each vertex's distances are added in ascending order, not in row
+    order, so weighted scores do not move with the distance plan.
     """
     d = multi_source_distances(g, sources)
+    dsum = F.aggregate(
+        F.array_sort(F.collect_list("dist")), F.lit(0.0), lambda acc, x: acc + x
+    )
     return (
         d.where(F.col("s") != F.col("v"))
         .groupBy("v")
-        .agg(F.count("*").alias("r"), F.sum("dist").alias("dsum"))
+        .agg(F.count("*").alias("r"), dsum.alias("dsum"))
         .select(
             "v",
             (F.col("r") * F.col("r") / F.greatest(F.col("dsum"), F.lit(1e-12))).alias(

@@ -8,15 +8,6 @@ per-job overhead dominates at this scale.
 """
 from __future__ import annotations
 
-import os
-
-# Materialized graphs keep their edges in one partition, so the shuffle
-# partition count reaches only lazy frames (a fixture before its
-# ``Graph.cache``, a test's own frames) and the exchanges the planner
-# still adds (DESIGN.md §5). The session conftest honours this env knob when it builds
-# the SparkSession (set before the fixture runs).
-os.environ.setdefault("SPARK_SHUFFLE_PARTITIONS", "8")
-
 import networkx as nx
 import numpy as np
 import pandas as pd

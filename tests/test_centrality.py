@@ -123,6 +123,18 @@ class TestClosenessApprox:
         )[0, 1]
         assert rho > 0.8
 
+    def test_sum_independent_of_row_order(self, spark, tiny_weighted, monkeypatch):
+        """The same (s, v, dist) rows in two orders give bit-equal scores;
+        in row order, (0.1 + 0.2) + 0.3 and (0.3 + 0.2) + 0.1 differ."""
+        rows = [(s, 5, d) for s, d in enumerate([0.1, 0.2, 0.3])] + [(0, 6, 1.0)]
+        scores = []
+        for order in (rows, rows[::-1]):
+            d = spark.createDataFrame(order, "s long, v long, dist double").coalesce(1)
+            monkeypatch.setattr(centrality, "multi_source_distances", lambda g, s: d)
+            sc = centrality.closeness_approx(tiny_weighted, sources=[0, 1, 2])
+            scores.append(sc.toPandas().sort_values("v")["score"].tolist())
+        assert scores[0] == scores[1]
+
 
 class TestTopKPrecision:
     def test_identity_is_one(self, tiny_undirected):

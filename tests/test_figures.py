@@ -1,5 +1,7 @@
 """Integration tests: every table/figure experiment runs end-to-end at
 minimal settings and produces well-formed, sane numbers."""
+import inspect
+
 import numpy as np
 import pandas as pd
 import pytest
@@ -45,19 +47,43 @@ class TestTables:
 
 
 # RN at rho=0 keeps every edge, so each figure's metric must report the
-# value of a graph compared with itself.
+# value of a graph compared with itself: {raw frame: {column: value}}, where
+# a string value names the column of ``out["original"]`` that holds it.
 IDENTITY = [
-    ("fig02_degree_distribution", {}, {"bhattacharyya": 0.0}),
-    ("fig03_quadratic_form", {"k_vectors": 10}, {"qf_ratio": 1.0}),
+    ("fig01_connectivity", {}, {"raw": {"unreachable": "unreachable", "isolated": 0.0}}),
+    ("fig02_degree_distribution", {}, {"raw": {"bhattacharyya": 0.0}}),
+    ("fig03_quadratic_form", {"k_vectors": 10}, {"raw": {"qf_ratio": 1.0}}),
     (
         "fig04_distance",
         {"n_sources": 4, "diameter_seeds": 2, "diam_sparsifiers": ["RN"]},
-        {"spsp_stretch": 1.0, "ecc_stretch": 1.0, "unreachable": 0.0},
+        {
+            "raw": {"spsp_stretch": 1.0, "ecc_stretch": 1.0, "unreachable": 0.0},
+            "raw_diameter": {"diameter": "diameter_full"},
+        },
+    ),
+    (
+        "fig05_betweenness_closeness",
+        {"n_sources": 6, "top_k": 10},
+        {"raw_betweenness": {"betweenness_p": 1.0}, "raw_closeness": {"closeness_p": 1.0}},
+    ),
+    ("fig06_eigenvector", {"top_k": 10, "iters": 20}, {"raw": {"eigenvector_p": 1.0}}),
+    ("fig07_katz", {"top_k": 10, "iters": 15}, {"raw": {"katz_p": 1.0}}),
+    ("fig08_communities", {}, {"raw": {"communities": "communities_full"}}),
+    (
+        "fig09_clustering_coefficients",
+        {},
+        {"raw_mcc": {"mcc": "mcc_full"}, "raw_gcc": {"gcc": "gcc_full"}},
+    ),
+    ("fig10_clustering_f1", {}, {"raw": {"f1": 1.0}}),
+    (
+        "fig11_pagerank",
+        {"top_k": 10, "iters": 10},
+        {"raw_a": {"pagerank_p": 1.0}, "raw_b": {"pagerank_p": 1.0}},
     ),
     (
         "fig12_mincut_maxflow",
         {"dataset": "google_lite"},  # directed
-        {"flow_stretch": 1.0, "flow_zero_frac": 0.0},
+        {"raw": {"flow_stretch": 1.0, "flow_zero_frac": 0.0}},
     ),
 ]
 
@@ -66,13 +92,17 @@ IDENTITY = [
     "fig,kwargs,expected", IDENTITY, ids=[fig[:5] for fig, _, _ in IDENTITY]
 )
 def test_identity_sparsifier_scores_as_original(spark, fig, kwargs, expected):
-    out = getattr(figures, fig)(
-        spark, sparsifiers=["RN"], scale=0.1, rhos=[0.0], n_runs=1, seed=0, **kwargs
-    )
-    row = out["raw"].iloc[0]
-    assert row["achieved_rho"] == 0.0
-    for key, value in expected.items():
-        assert row[key] == pytest.approx(value, abs=1e-9), key
+    figure = getattr(figures, fig)
+    lists = {p: ["RN"] for p in inspect.signature(figure).parameters
+             if p.startswith("sparsifiers")}
+    out = figure(spark, scale=0.1, rhos=[0.0], n_runs=1, seed=0, **lists, **kwargs)
+    for raw, values in expected.items():
+        row = out[raw].iloc[0]
+        assert row["achieved_rho"] == 0.0
+        for key, value in values.items():
+            if isinstance(value, str):
+                value = out["original"][value].iloc[0]
+            assert row[key] == pytest.approx(value, abs=1e-9), (raw, key)
 
 
 class TestFigures:

@@ -84,9 +84,10 @@ def test_sweep_cell_jobs(spark, stand_in):
     assert jobs(spark, cell) <= 4
 
 
-# RN: the checkpoint's job and the histogram's. RD adds the collect that
-# feeds its driver-side kernel.
-FIG02_CELL_BUDGET = {"RN": 2, "RD": 3}
+# RN: the checkpoint's job and the histogram's. RD and FF: the collect that
+# feeds their driver-side kernel and the histogram's; a driver-side edge
+# list enters Spark materialized and needs no checkpoint.
+FIG02_CELL_BUDGET = {"RN": 2, "RD": 2, "FF": 2}
 
 
 @pytest.mark.parametrize("ab", sorted(FIG02_CELL_BUDGET))

@@ -1,0 +1,47 @@
+"""The job entrypoints under ``jobs/``: each parses its arguments, and the
+figure runner hands ``--sparsifiers`` to the right keyword arguments."""
+import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from repro.core import figures
+
+JOBS = Path(__file__).resolve().parents[1] / "jobs"
+SRC = JOBS.parent / "src"
+
+
+@pytest.mark.parametrize("job", sorted(p.name for p in JOBS.glob("[!_]*.py")))
+def test_job_help(job):
+    """``--help`` exits in argparse, before any Spark session starts."""
+    path = os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])
+    env = {**os.environ, "PYTHONPATH": path}
+    done = subprocess.run(
+        [sys.executable, str(JOBS / job), "--help"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+
+
+@pytest.fixture
+def common(monkeypatch):
+    monkeypatch.syspath_prepend(str(JOBS))
+    return importlib.import_module("_common")
+
+
+def test_sparsifiers_reach_every_sparsifier_list(common):
+    args = common.std_parser("").parse_args(["--sparsifiers", "RN", "LD"])
+    fig11 = common.figure_kwargs(figures.fig11_pagerank, args)
+    assert fig11["sparsifiers_a"] == fig11["sparsifiers_b"] == ["RN", "LD"]
+    fig04 = common.figure_kwargs(figures.fig04_distance, args)
+    assert fig04["sparsifiers"] == ["RN", "LD"]
+    assert "diam_sparsifiers" not in fig04
+
+
+def test_default_sparsifiers_kept(common):
+    args = common.std_parser("").parse_args(["--scale", "0.5", "--rhos", "0.2"])
+    kwargs = common.figure_kwargs(figures.fig11_pagerank, args)
+    assert kwargs == dict(scale=0.5, rhos=[0.2], n_runs=2, seed=0)
