@@ -19,10 +19,13 @@ def std_parser(desc: str) -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(description=desc)
     p.add_argument("--scale", type=float, default=1.0, help="dataset size multiplier")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--runs", type=int, default=2, help="seeds for non-deterministic sparsifiers")
     p.add_argument(
-        "--rhos", type=float, nargs="+", default=[0.1, 0.3, 0.5, 0.7, 0.9],
-        help="prune rates to sweep",
+        "--runs", type=int, default=None,
+        help="seeds for non-deterministic sparsifiers (default: the figure's)",
+    )
+    p.add_argument(
+        "--rhos", type=float, nargs="+", default=None,
+        help="prune rates to sweep (default: the figure's)",
     )
     p.add_argument(
         "--sparsifiers", type=str, nargs="+", default=None,
@@ -34,11 +37,15 @@ def std_parser(desc: str) -> argparse.ArgumentParser:
 def figure_kwargs(figure, args: argparse.Namespace) -> dict:
     """Keyword arguments of ``figure`` from the standard arguments.
 
-    ``--sparsifiers`` replaces every list named ``sparsifiers`` or
-    ``sparsifiers_*`` (both of Fig 11's panels); a list named otherwise,
-    such as Fig 4's ``diam_sparsifiers``, keeps the figure's default.
+    ``--rhos`` and ``--runs`` are passed only when given, so the figure
+    runs its own defaults otherwise. ``--sparsifiers`` replaces every
+    list named ``sparsifiers`` or ``sparsifiers_*`` (both of Fig 11's
+    panels); a list named otherwise, such as Fig 4's
+    ``diam_sparsifiers``, keeps the figure's default.
     """
-    kwargs = dict(scale=args.scale, rhos=args.rhos, n_runs=args.runs, seed=args.seed)
+    kwargs = dict(scale=args.scale, seed=args.seed)
+    given = dict(rhos=args.rhos, n_runs=args.runs)
+    kwargs.update({k: v for k, v in given.items() if v is not None})
     if args.sparsifiers:
         for name in inspect.signature(figure).parameters:
             if name == "sparsifiers" or name.startswith("sparsifiers_"):

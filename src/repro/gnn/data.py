@@ -24,10 +24,6 @@ class NodeData:
     val_mask: np.ndarray
     test_mask: np.ndarray
 
-    @property
-    def n_classes(self) -> int:
-        return int(self.y.max()) + 1
-
 
 def make_node_data(
     labels: np.ndarray,

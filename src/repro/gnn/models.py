@@ -1,17 +1,14 @@
-"""NumPy message-passing networks: GraphSAGE and a ClusterGCN-style GCN.
+"""One NumPy two-layer message-passing network, in two configurations.
 
-Neighbor aggregation is a linear operator built from the edge list:
-
-* SAGE uses the row-normalized adjacency (mean of in-neighbors'
-  features);
-* GCN uses D̂^{-1}(A + I) with self-loops.
-
-Both are applied as scatter-adds (``np.add.at``), and their transposes
-(needed for backprop) reuse the same edges reversed. Layers are
-``H' = act(H W_self + (agg H) W_nb + b)`` — for GCN, ``W_self`` is tied
-to zero and self-information flows through the self-loop in the
-aggregator, matching Kipf–Welling. Training is full-batch (SAGE) or
-cluster-batched (ClusterGCN) manual-backprop Adam.
+A layer is ``H' = act(H Ws + (agg H) Wn + b)``, where ``agg`` is the
+row-normalized adjacency built from the edge list (the mean of
+in-neighbors' features), applied as scatter-adds (``np.add.at``); its
+transpose, for backprop, reuses the edges reversed. GraphSAGE is the
+layer as written, trained full-batch. The ClusterGCN-style GCN
+(``gcn=True``) has no ``Ws``: self-information flows through the
+self-loops of its aggregator, D̂^{-1}(A + I) (Kipf–Welling), and it
+trains on cluster batches. Training is manual-backprop Adam over
+``(nodes, aggregator)`` batches.
 """
 from __future__ import annotations
 
@@ -51,13 +48,8 @@ class MeanAggregator:
         return out
 
 
-def _relu(x: np.ndarray) -> np.ndarray:
-    return np.maximum(x, 0.0)
-
-
 def _softmax(z: np.ndarray) -> np.ndarray:
-    z = z - z.max(axis=1, keepdims=True)
-    e = np.exp(z)
+    e = np.exp(z - z.max(axis=1, keepdims=True))
     return e / e.sum(axis=1, keepdims=True)
 
 
@@ -79,60 +71,68 @@ class Adam:
             m += (1 - b1) * g
             v *= b2
             v += (1 - b2) * g * g
-            mh = m / (1 - b1**self.t)
-            vh = v / (1 - b2**self.t)
-            p -= self.lr * mh / (np.sqrt(vh) + eps)
+            p -= self.lr * (m / (1 - b1**self.t)) / (np.sqrt(v / (1 - b2**self.t)) + eps)
 
 
 @dataclass
-class SageParams:
-    ws1: np.ndarray
+class Params:
+    """Both layers' weights. GCN has no ``ws1``/``ws2`` (``None``)."""
+
+    ws1: np.ndarray | None
     wn1: np.ndarray
     b1: np.ndarray
-    ws2: np.ndarray
+    ws2: np.ndarray | None
     wn2: np.ndarray
     b2: np.ndarray
 
     def as_list(self) -> list[np.ndarray]:
-        return [self.ws1, self.wn1, self.b1, self.ws2, self.wn2, self.b2]
+        return [w for w in vars(self).values() if w is not None]
 
 
-def init_sage(n_in: int, n_hidden: int, n_out: int, *, seed: int = 0) -> SageParams:
+def init(n_in: int, n_hidden: int, n_out: int, *, gcn: bool, seed: int = 0) -> Params:
+    """Glorot weights, zero biases; ``gcn`` drops the self weights."""
     rng = np.random.default_rng(seed)
 
     def glorot(a: int, b: int) -> np.ndarray:
         return rng.standard_normal((a, b)) * np.sqrt(2.0 / (a + b))
 
-    return SageParams(
-        ws1=glorot(n_in, n_hidden), wn1=glorot(n_in, n_hidden),
-        b1=np.zeros(n_hidden),
-        ws2=glorot(n_hidden, n_out), wn2=glorot(n_hidden, n_out),
-        b2=np.zeros(n_out),
-    )
+    def layer(a: int, b: int):
+        ws = None if gcn else glorot(a, b)
+        return ws, glorot(a, b), np.zeros(b)
+
+    return Params(*layer(n_in, n_hidden), *layer(n_hidden, n_out))
 
 
-def sage_forward(p: SageParams, x: np.ndarray, agg: MeanAggregator):
+def _linear(
+    h: np.ndarray, ah: np.ndarray, ws: np.ndarray | None, wn: np.ndarray, b: np.ndarray
+) -> np.ndarray:
+    return (ah @ wn if ws is None else h @ ws + ah @ wn) + b
+
+
+def forward(p: Params, x: np.ndarray, agg: MeanAggregator):
     ax = agg(x)
-    z1 = x @ p.ws1 + ax @ p.wn1 + p.b1
-    h1 = _relu(z1)
+    z1 = _linear(x, ax, p.ws1, p.wn1, p.b1)
+    h1 = np.maximum(z1, 0.0)
     ah1 = agg(h1)
-    logits = h1 @ p.ws2 + ah1 @ p.wn2 + p.b2
+    logits = _linear(h1, ah1, p.ws2, p.wn2, p.b2)
     return logits, (x, ax, z1, h1, ah1)
 
 
-def sage_backward(
-    p: SageParams, cache, dlogits: np.ndarray, agg: MeanAggregator
+def _linear_grads(
+    h: np.ndarray, ah: np.ndarray, dz: np.ndarray, ws: np.ndarray | None
 ) -> list[np.ndarray]:
+    """Gradients of one layer's weights, in :meth:`Params.as_list` order."""
+    grads = [ah.T @ dz, dz.sum(axis=0)]
+    return grads if ws is None else [h.T @ dz, *grads]
+
+
+def backward(p: Params, cache, dlogits: np.ndarray, agg: MeanAggregator) -> list[np.ndarray]:
     x, ax, z1, h1, ah1 = cache
-    dws2 = h1.T @ dlogits
-    dwn2 = ah1.T @ dlogits
-    db2 = dlogits.sum(axis=0)
-    dh1 = dlogits @ p.ws2.T + agg.transpose(dlogits) @ p.wn2.T
+    dh1 = agg.transpose(dlogits) @ p.wn2.T
+    if p.ws2 is not None:
+        dh1 = dlogits @ p.ws2.T + dh1
     dz1 = dh1 * (z1 > 0)
-    dws1 = x.T @ dz1
-    dwn1 = ax.T @ dz1
-    db1 = dz1.sum(axis=0)
-    return [dws1, dwn1, db1, dws2, dwn2, db2]
+    return [*_linear_grads(x, ax, dz1, p.ws1), *_linear_grads(h1, ah1, dlogits, p.ws2)]
 
 
 def cross_entropy_grad(
@@ -154,104 +154,48 @@ def cross_entropy_grad(
     return loss, d / idx.size
 
 
-def train_sage(
-    x: np.ndarray, y: np.ndarray, train_mask: np.ndarray, agg: MeanAggregator,
-    *, n_hidden: int = 32, epochs: int = 150, lr: float = 0.01, seed: int = 0,
-) -> SageParams:
-    """Full-batch GraphSAGE training on the given aggregation graph."""
-    p = init_sage(x.shape[1], n_hidden, int(y.max()) + 1, seed=seed)
-    opt = Adam(p.as_list(), lr=lr)
-    for _ in range(epochs):
-        logits, cache = sage_forward(p, x, agg)
-        _, dlogits = cross_entropy_grad(logits, y, train_mask)
-        opt.step(sage_backward(p, cache, dlogits, agg))
-    return p
-
-
-# ---- ClusterGCN-style GCN ------------------------------------------------
-@dataclass
-class GcnParams:
-    w1: np.ndarray
-    b1: np.ndarray
-    w2: np.ndarray
-    b2: np.ndarray
-
-    def as_list(self) -> list[np.ndarray]:
-        return [self.w1, self.b1, self.w2, self.b2]
-
-
-def init_gcn(n_in: int, n_hidden: int, n_out: int, *, seed: int = 0) -> GcnParams:
-    rng = np.random.default_rng(seed)
-
-    def glorot(a: int, b: int) -> np.ndarray:
-        return rng.standard_normal((a, b)) * np.sqrt(2.0 / (a + b))
-
-    return GcnParams(
-        w1=glorot(n_in, n_hidden), b1=np.zeros(n_hidden),
-        w2=glorot(n_hidden, n_out), b2=np.zeros(n_out),
-    )
-
-
-def gcn_forward(p: GcnParams, x: np.ndarray, agg: MeanAggregator):
-    ax = agg(x)
-    z1 = ax @ p.w1 + p.b1
-    h1 = _relu(z1)
-    ah1 = agg(h1)
-    logits = ah1 @ p.w2 + p.b2
-    return logits, (ax, z1, h1, ah1)
-
-
-def gcn_backward(p: GcnParams, cache, dlogits: np.ndarray, agg: MeanAggregator):
-    ax, z1, h1, ah1 = cache
-    dw2 = ah1.T @ dlogits
-    db2 = dlogits.sum(axis=0)
-    dh1 = agg.transpose(dlogits) @ p.w2.T
-    dz1 = dh1 * (z1 > 0)
-    dw1 = ax.T @ dz1
-    db1 = dz1.sum(axis=0)
-    return [dw1, db1, dw2, db2]
-
-
-def train_cluster_gcn(
-    x: np.ndarray, y: np.ndarray, train_mask: np.ndarray,
-    src: np.ndarray, dst: np.ndarray, clusters: np.ndarray,
-    *, directed: bool, n_batches: int = 8, n_hidden: int = 32,
-    epochs: int = 60, lr: float = 0.01, seed: int = 0,
-) -> GcnParams:
-    """ClusterGCN: group clusters into batches, per-batch GCN updates.
+def cluster_batches(
+    src: np.ndarray, dst: np.ndarray, clusters: np.ndarray, *, directed: bool,
+    n_batches: int, seed: int = 0,
+) -> list[tuple[np.ndarray, MeanAggregator]]:
+    """ClusterGCN batches: clusters shuffled into ``n_batches`` groups, each
+    a ``(nodes, aggregator)`` pair over its induced subgraph only — the
+    ClusterGCN approximation.
 
     ``clusters`` assigns each vertex a partition id (the paper uses METIS
-    on the training graph; we pass LPA communities). Each epoch visits
-    all batches; each batch trains on its induced subgraph only — the
-    ClusterGCN approximation.
+    on the training graph; we pass LPA communities). Aggregators carry
+    self-loops, as GCN's do.
     """
     rng = np.random.default_rng(seed)
-    n = len(y)
-    ids = np.unique(clusters)
-    rng.shuffle(ids)
-    batch_of_cluster = {int(c): i % n_batches for i, c in enumerate(ids)}
-    batch = np.array([batch_of_cluster[int(c)] for c in clusters])
-    p = init_gcn(x.shape[1], n_hidden, int(y.max()) + 1, seed=seed)
-    opt = Adam(p.as_list(), lr=lr)
-    # Precompute per-batch induced subgraphs.
+    ids, cluster = np.unique(clusters, return_inverse=True)
+    # The i-th cluster of a random order goes to batch i % n_batches.
+    batch = np.argsort(rng.permutation(len(ids)))[cluster] % n_batches
     batches = []
-    for b in range(n_batches):
+    for b in np.unique(batch):
         nodes = np.flatnonzero(batch == b)
-        if len(nodes) == 0:
-            continue
-        remap = -np.ones(n, dtype=np.int64)
-        remap[nodes] = np.arange(len(nodes))
+        local = np.cumsum(batch == b) - 1  # a batch vertex's row in its batch
         keep = (batch[src] == b) & (batch[dst] == b)
         agg = MeanAggregator(
-            remap[src[keep]], remap[dst[keep]], len(nodes),
-            directed=directed, self_loops=True,
+            local[src[keep]], local[dst[keep]], len(nodes), directed=directed, self_loops=True
         )
         batches.append((nodes, agg))
+    return batches
+
+
+def train(
+    x: np.ndarray, y: np.ndarray, train_mask: np.ndarray,
+    batches: list[tuple[np.ndarray, MeanAggregator]], *, gcn: bool,
+    n_hidden: int = 32, epochs: int, lr: float = 0.01, seed: int = 0,
+) -> Params:
+    """Adam over ``(nodes, aggregator)`` batches, every batch once an
+    epoch. Full-batch GraphSAGE is one batch of every vertex."""
+    p = init(x.shape[1], n_hidden, int(y.max()) + 1, gcn=gcn, seed=seed)
+    opt = Adam(p.as_list(), lr=lr)
     for _ in range(epochs):
         for nodes, agg in batches:
-            logits, cache = gcn_forward(p, x[nodes], agg)
+            logits, cache = forward(p, x[nodes], agg)
             _, dlogits = cross_entropy_grad(logits, y[nodes], train_mask[nodes])
-            opt.step(gcn_backward(p, cache, dlogits, agg))
+            opt.step(backward(p, cache, dlogits, agg))
     return p
 
 

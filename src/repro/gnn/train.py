@@ -14,15 +14,7 @@ import numpy as np
 
 from repro.core.graph import Graph
 from repro.gnn.data import NodeData
-from repro.gnn.models import (
-    MeanAggregator,
-    accuracy,
-    gcn_forward,
-    macro_auroc,
-    sage_forward,
-    train_cluster_gcn,
-    train_sage,
-)
+from repro.gnn.models import MeanAggregator, accuracy, cluster_batches, forward, macro_auroc, train
 from repro.metrics.clustering import lpa_communities
 
 
@@ -32,9 +24,31 @@ class GnnResult:
     auroc: float
 
 
-def _edge_arrays(g: Graph) -> tuple[np.ndarray, np.ndarray]:
-    s, d, _ = g.to_arrays()
-    return s, d
+def _evaluate(
+    train_graph: Graph, full_graph: Graph, data: NodeData, *, gcn: bool, seed: int,
+    epochs: int, n_batches: int = 8,
+) -> GnnResult:
+    """Train on ``train_graph`` (GraphSAGE full-batch, or ClusterGCN on
+    ``n_batches`` batches of its LPA communities), test on ``full_graph``."""
+    ts, td, _ = train_graph.to_arrays()
+    n, directed = train_graph.n, train_graph.directed
+    if not gcn:
+        batches = [(np.arange(n), MeanAggregator(ts, td, n, directed=directed))]
+    else:
+        clusters = (
+            lpa_communities(train_graph).toPandas().sort_values("v")["label"].to_numpy(np.int64)
+            if len(ts) else np.arange(n)
+        )
+        batches = cluster_batches(
+            ts, td, clusters, directed=directed, n_batches=n_batches, seed=seed
+        )
+    params = train(data.x, data.y, data.train_mask, batches, gcn=gcn, epochs=epochs, seed=seed)
+    fs, fd, _ = full_graph.to_arrays()
+    agg_full = MeanAggregator(fs, fd, full_graph.n, directed=full_graph.directed, self_loops=gcn)
+    logits, _ = forward(params, data.x, agg_full)
+    return GnnResult(
+        accuracy(logits, data.y, data.test_mask), macro_auroc(logits, data.y, data.test_mask)
+    )
 
 
 def eval_graphsage(
@@ -42,18 +56,7 @@ def eval_graphsage(
     epochs: int = 150,
 ) -> GnnResult:
     """GraphSAGE trained on ``train_graph``, tested on ``full_graph``."""
-    ts, td = _edge_arrays(train_graph)
-    fs, fd = _edge_arrays(full_graph)
-    agg_train = MeanAggregator(ts, td, train_graph.n, directed=train_graph.directed)
-    agg_full = MeanAggregator(fs, fd, full_graph.n, directed=full_graph.directed)
-    params = train_sage(
-        data.x, data.y, data.train_mask, agg_train, epochs=epochs, seed=seed
-    )
-    logits, _ = sage_forward(params, data.x, agg_full)
-    return GnnResult(
-        accuracy=accuracy(logits, data.y, data.test_mask),
-        auroc=macro_auroc(logits, data.y, data.test_mask),
-    )
+    return _evaluate(train_graph, full_graph, data, gcn=False, seed=seed, epochs=epochs)
 
 
 def eval_cluster_gcn(
@@ -61,29 +64,8 @@ def eval_cluster_gcn(
     epochs: int = 60, n_batches: int = 8,
 ) -> GnnResult:
     """ClusterGCN trained on LPA-partitioned ``train_graph`` batches."""
-    ts, td = _edge_arrays(train_graph)
-    fs, fd = _edge_arrays(full_graph)
-    if len(ts) > 0:
-        labels = (
-            lpa_communities(train_graph)
-            .toPandas()
-            .sort_values("v")["label"]
-            .to_numpy(np.int64)
-        )
-    else:
-        labels = np.arange(train_graph.n, dtype=np.int64)
-    params = train_cluster_gcn(
-        data.x, data.y, data.train_mask, ts, td, labels,
-        directed=train_graph.directed, epochs=epochs, seed=seed,
-        n_batches=n_batches,
-    )
-    agg_full = MeanAggregator(
-        fs, fd, full_graph.n, directed=full_graph.directed, self_loops=True
-    )
-    logits, _ = gcn_forward(params, data.x, agg_full)
-    return GnnResult(
-        accuracy=accuracy(logits, data.y, data.test_mask),
-        auroc=macro_auroc(logits, data.y, data.test_mask),
+    return _evaluate(
+        train_graph, full_graph, data, gcn=True, seed=seed, epochs=epochs, n_batches=n_batches
     )
 
 

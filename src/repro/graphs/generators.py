@@ -7,7 +7,6 @@ reproducing its *structural class* (see DESIGN.md §2):
 * :func:`erdos_renyi` — dense uniform graphs (human_gene2 stand-in).
 * :func:`barabasi_albert` — power-law social graphs (ego-Facebook).
 * :func:`holme_kim` — power-law + triadic closure (collaboration nets).
-* :func:`watts_strogatz` — small-world baseline (used in tests).
 * :func:`sbm` — planted-partition community graphs (com-DBLP/Amazon,
   Reddit, ogbn-proteins) with ground-truth labels.
 * :func:`rmat` — scale-free directed web graphs (web-*).
@@ -123,23 +122,6 @@ def holme_kim(n: int, m_attach: int, p_triad: float, *, seed: int = 0) -> pd.Dat
             chosen.add(t)
             add_edge(t, v)
             prev_target = t
-    return _edges_df(np.array(src_list), np.array(dst_list))
-
-
-def watts_strogatz(n: int, k: int, p_rewire: float, *, seed: int = 0) -> pd.DataFrame:
-    """Small-world ring lattice with random rewiring (undirected)."""
-    g = _rng(seed)
-    src_list: list[int] = []
-    dst_list: list[int] = []
-    for u in range(n):
-        for j in range(1, k // 2 + 1):
-            v = (u + j) % n
-            if g.random() < p_rewire:
-                v = int(g.integers(0, n))
-                while v == u:
-                    v = int(g.integers(0, n))
-            src_list.append(u)
-            dst_list.append(v)
     return _edges_df(np.array(src_list), np.array(dst_list))
 
 

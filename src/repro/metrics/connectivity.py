@@ -16,6 +16,7 @@ from pyspark.sql import functions as F
 
 from repro.core.graph import Graph
 from repro.core.iterate import loop, materialize
+from repro.graphs.prep import used_vertices
 
 
 def connected_components(g: Graph, *, max_iter: int = 64) -> DataFrame:
@@ -74,10 +75,5 @@ def isolated_ratio(g: Graph) -> float:
     Sparsifiers keep the full vertex set (Definition 1), so vertices that
     lost all edges count as isolated.
     """
-    used = (
-        g.edges.select(F.col("src").alias("v"))
-        .unionByName(g.edges.select(F.col("dst").alias("v")))
-        .distinct()
-        .count()
-    )
+    used = used_vertices(g).count()
     return 1.0 - used / g.n if g.n else 0.0

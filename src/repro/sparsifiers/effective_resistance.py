@@ -30,15 +30,12 @@ from repro.sparsifiers.base import target_edges
 _MAX_DENSE_N = 6000
 
 
-def effective_resistances(g: Graph) -> np.ndarray:
-    """Exact per-edge effective resistance via Laplacian pseudo-inverse."""
-    gu = g.symmetrized()
-    if gu.n > _MAX_DENSE_N:
-        raise ValueError(
-            f"dense ER solver capped at n={_MAX_DENSE_N}; got {gu.n}"
-        )
-    src, dst, w = gu.to_arrays()
-    L = np.zeros((gu.n, gu.n))
+def effective_resistances(src: np.ndarray, dst: np.ndarray, w: np.ndarray, n: int) -> np.ndarray:
+    """Exact effective resistance of each edge of an undirected edge list
+    on vertices ``0..n-1`` (each edge once), via Laplacian pseudo-inverse."""
+    if n > _MAX_DENSE_N:
+        raise ValueError(f"dense ER solver capped at n={_MAX_DENSE_N}; got {n}")
+    L = np.zeros((n, n))
     L[src, dst] -= w
     L[dst, src] -= w
     np.add.at(L, (src, src), w)
@@ -69,7 +66,7 @@ def er_sparsify(
     """Sample edges ∝ w·R with replacement; reweight iff ``reweight``."""
     gu = g.symmetrized()
     src, dst, w = gu.to_arrays()
-    R = effective_resistances(gu)
+    R = effective_resistances(src, dst, w, gu.n)
     k_target = target_edges(len(src), rho)
     scores = np.maximum(w * R, 1e-18)
     p = scores / scores.sum()

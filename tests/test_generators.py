@@ -91,17 +91,6 @@ class TestHolmeKim:
         )
 
 
-class TestWattsStrogatz:
-    def test_edge_rows(self):
-        e = gen.watts_strogatz(30, 4, 0.1, seed=0)
-        assert len(e) == 30 * 2  # k/2 rows per vertex
-
-    def test_no_rewire_is_ring(self):
-        e = gen.watts_strogatz(10, 2, 0.0, seed=0)
-        pairs = set(map(tuple, np.sort(e[["src", "dst"]].to_numpy(), axis=1)))
-        assert pairs == {(i, (i + 1) % 10) if i + 1 < 10 else (0, 9) for i in range(10)}
-
-
 class TestSBM:
     def test_labels_balanced(self):
         _, labels = gen.sbm(100, 5, avg_deg_in=4, avg_deg_out=1, seed=0)

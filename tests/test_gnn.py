@@ -80,50 +80,29 @@ class TestGradients:
             it.iternext()
         return g
 
-    def test_sage_backward_numerical(self, small_edges):
+    @pytest.mark.parametrize("gcn,seed", [(False, 3), (True, 4)], ids=["sage", "gcn"])
+    def test_backward_numerical(self, small_edges, gcn, seed):
         src, dst = small_edges
-        rng = np.random.default_rng(3)
+        rng = np.random.default_rng(seed)
         n, f, c = 20, 3, 2
         x = rng.standard_normal((n, f))
         y = rng.integers(0, c, n)
         mask = np.ones(n, dtype=bool)
-        agg = models.MeanAggregator(src, dst, n, directed=False)
-        p = models.init_sage(f, 4, c, seed=0)
+        agg = models.MeanAggregator(src, dst, n, directed=False, self_loops=gcn)
+        p = models.init(f, 4, c, gcn=gcn, seed=0)
 
         def loss():
-            logits, _ = models.sage_forward(p, x, agg)
+            logits, _ = models.forward(p, x, agg)
             l, _ = models.cross_entropy_grad(logits, y, mask)
             return l
 
-        logits, cache = models.sage_forward(p, x, agg)
+        logits, cache = models.forward(p, x, agg)
         _, dlogits = models.cross_entropy_grad(logits, y, mask)
-        grads = models.sage_backward(p, cache, dlogits, agg)
+        grads = models.backward(p, cache, dlogits, agg)
+        assert len(grads) == len(p.as_list()) == (4 if gcn else 6)
         for param, grad in zip(p.as_list(), grads):
             num = self._num_grad(loss, param)
             assert np.abs(grad - num).max() < 1e-4
-
-    def test_gcn_backward_numerical(self, small_edges):
-        src, dst = small_edges
-        rng = np.random.default_rng(4)
-        n, f, c = 20, 3, 2
-        x = rng.standard_normal((n, f))
-        y = rng.integers(0, c, n)
-        mask = np.ones(n, dtype=bool)
-        agg = models.MeanAggregator(src, dst, n, directed=False, self_loops=True)
-        p = models.init_gcn(f, 4, c, seed=0)
-
-        def loss():
-            logits, _ = models.gcn_forward(p, x, agg)
-            l, _ = models.cross_entropy_grad(logits, y, mask)
-            return l
-
-        logits, cache = models.gcn_forward(p, x, agg)
-        _, dlogits = models.cross_entropy_grad(logits, y, mask)
-        grads = models.gcn_backward(p, cache, dlogits, agg)
-        for param, grad in zip(p.as_list(), grads):
-            num = self._num_grad(loss, param)
-            assert np.abs(grad - num).max() < 1e-4
-
 
     @pytest.mark.filterwarnings("error")
     def test_empty_mask_zero_loss_and_gradient(self):
@@ -143,8 +122,10 @@ class TestTraining:
         src = edges["src"].to_numpy()
         dst = edges["dst"].to_numpy()
         agg = models.MeanAggregator(src, dst, 150, directed=False)
-        p = models.train_sage(data.x, data.y, data.train_mask, agg, epochs=120, seed=0)
-        logits, _ = models.sage_forward(p, data.x, agg)
+        p = models.train(
+            data.x, data.y, data.train_mask, [(np.arange(150), agg)], gcn=False, epochs=120, seed=0
+        )
+        logits, _ = models.forward(p, data.x, agg)
         acc = models.accuracy(logits, data.y, data.test_mask)
         assert acc > 0.7
 
@@ -159,10 +140,15 @@ class TestTraining:
         agg_empty = models.MeanAggregator(
             np.array([], dtype=np.int64), np.array([], dtype=np.int64), 200, directed=False
         )
-        p_full = models.train_sage(data.x, data.y, data.train_mask, agg_full, epochs=120, seed=0)
-        p_empty = models.train_sage(data.x, data.y, data.train_mask, agg_empty, epochs=120, seed=0)
-        acc_full = models.accuracy(models.sage_forward(p_full, data.x, agg_full)[0], data.y, data.test_mask)
-        acc_empty = models.accuracy(models.sage_forward(p_empty, data.x, agg_empty)[0], data.y, data.test_mask)
+
+        def trained_accuracy(agg):
+            p = models.train(
+                data.x, data.y, data.train_mask, [(np.arange(200), agg)], gcn=False,
+                epochs=120, seed=0,
+            )
+            return models.accuracy(models.forward(p, data.x, agg)[0], data.y, data.test_mask)
+
+        acc_full, acc_empty = trained_accuracy(agg_full), trained_accuracy(agg_empty)
         assert acc_full > acc_empty + 0.05
 
     def test_cluster_gcn_learns(self):
@@ -171,12 +157,10 @@ class TestTraining:
         edges, labels = sbm(150, 3, avg_deg_in=10, avg_deg_out=1, seed=2)
         data = make_node_data(labels, seed=2, signal=0.3)
         src, dst = edges["src"].to_numpy(), edges["dst"].to_numpy()
-        p = models.train_cluster_gcn(
-            data.x, data.y, data.train_mask, src, dst, labels,
-            directed=False, n_batches=3, epochs=60, seed=0,
-        )
+        batches = models.cluster_batches(src, dst, labels, directed=False, n_batches=3, seed=0)
+        p = models.train(data.x, data.y, data.train_mask, batches, gcn=True, epochs=60, seed=0)
         agg = models.MeanAggregator(src, dst, 150, directed=False, self_loops=True)
-        logits, _ = models.gcn_forward(p, data.x, agg)
+        logits, _ = models.forward(p, data.x, agg)
         assert models.accuracy(logits, data.y, data.test_mask) > 0.6
 
 

@@ -108,3 +108,9 @@ def test_fig11_cell_jobs(spark, stand_in, ab):
     sparsified graph and its top-k."""
     h, _ = sparsify_timed(SPARSIFIERS[ab], stand_in, 0.5, seed=0)
     assert jobs(spark, lambda: centrality.top_k(centrality.pagerank(h, iters=1), 20)) <= 2
+
+
+def test_er_sparsify_jobs(spark, tiny_directed):
+    """ER on a directed input: one collect of the symmetrized edge list
+    feeds both the resistances and the sample."""
+    assert jobs(spark, SPARSIFIERS["ERw"], tiny_directed, 0.5, seed=0) <= 1

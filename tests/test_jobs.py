@@ -1,6 +1,7 @@
 """The job entrypoints under ``jobs/``: each parses its arguments, and the
 figure runner hands ``--sparsifiers`` to the right keyword arguments."""
 import importlib
+import inspect
 import os
 import subprocess
 import sys
@@ -24,6 +25,7 @@ def test_job_help(job):
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("usage:"), done.stdout
 
 
 @pytest.fixture
@@ -42,6 +44,16 @@ def test_sparsifiers_reach_every_sparsifier_list(common):
 
 
 def test_default_sparsifiers_kept(common):
-    args = common.std_parser("").parse_args(["--scale", "0.5", "--rhos", "0.2"])
-    kwargs = common.figure_kwargs(figures.fig11_pagerank, args)
-    assert kwargs == dict(scale=0.5, rhos=[0.2], n_runs=2, seed=0)
+    """Unset ``--runs`` and ``--rhos`` leave the figure's own defaults."""
+
+    def run_args(figure, argv):
+        kwargs = common.figure_kwargs(figure, common.std_parser("").parse_args(argv))
+        bound = inspect.signature(figure).bind(None, **kwargs)
+        bound.apply_defaults()
+        return kwargs, bound.arguments
+
+    kwargs, fig01 = run_args(figures.fig01_connectivity, ["--scale", "0.5", "--rhos", "0.2"])
+    assert kwargs == dict(scale=0.5, rhos=[0.2], seed=0)
+    assert fig01["n_runs"] == 3
+    _, fig13 = run_args(figures.fig13_gnn, [])
+    assert fig13["rhos"] == (0.3, 0.6, 0.9) and fig13["n_runs"] == 1

@@ -284,7 +284,7 @@ class TestEffectiveResistance:
     def test_resistances_match_dense_reference(self, tiny_weighted):
         """Independent NumPy reference built from the edge list."""
         g = tiny_weighted
-        R = effective_resistances(g)
+        R = effective_resistances(*g.to_arrays(), g.n)
         e = g.to_pandas_edges()
         n = g.n
         L = np.zeros((n, n))
@@ -306,11 +306,11 @@ class TestEffectiveResistance:
         n = 12
         pdf = pd.DataFrame({"src": range(n), "dst": [(i + 1) % n for i in range(n)]})
         g = Graph.from_pandas(spark, pdf, directed=False, weighted=False, n=n)
-        R = effective_resistances(g)
+        R = effective_resistances(*g.to_arrays(), g.n)
         assert np.allclose(R, (n - 1) / n, atol=1e-9)
 
     def test_tree_edge_resistance_is_weightinv(self, path_graph):
-        R = effective_resistances(path_graph)
+        R = effective_resistances(*path_graph.to_arrays(), path_graph.n)
         assert np.allclose(R, 1.0)  # every path edge is a bridge, R = 1/w
 
     def test_er_weighted_changes_weights(self, tiny_undirected):
@@ -332,7 +332,7 @@ class TestEffectiveResistance:
         pdf = pd.DataFrame(rows, columns=["src", "dst"])
         g = Graph.from_pandas(spark, pdf, directed=False, weighted=False, n=12)
         e = g.to_pandas_edges()
-        R = effective_resistances(g)
+        R = effective_resistances(*g.to_arrays(), g.n)
         bridge_idx = e.index[(e["src"] == 0) & (e["dst"] == 6)][0]
         assert R[bridge_idx] == pytest.approx(1.0, abs=1e-9)  # it is a bridge
         assert R.argmax() == bridge_idx
