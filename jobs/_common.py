@@ -1,9 +1,10 @@
 """Shared plumbing for the spark-submit job entrypoints.
 
-The standard CLI knobs: ``--scale`` (dataset size multiplier), ``--rhos``
-(prune-rate sweep), ``--runs`` (seeds for non-deterministic
-sparsifiers), ``--seed``, ``--sparsifiers`` (abbreviation subset). Every
-figure job is one :func:`run_figure` call; the session is
+Every job takes ``--scale`` (dataset size multiplier) and ``--seed``
+(:func:`std_parser`). A figure job sweeps, so it also takes ``--rhos``
+(prune-rate sweep), ``--runs`` (seeds for non-deterministic sparsifiers)
+and ``--sparsifiers`` (abbreviation subset) (:func:`figure_parser`).
+Every figure job is one :func:`run_figure` call; the session is
 :func:`repro.core.session.build`'s.
 """
 from __future__ import annotations
@@ -19,6 +20,12 @@ def std_parser(desc: str) -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(description=desc)
     p.add_argument("--scale", type=float, default=1.0, help="dataset size multiplier")
     p.add_argument("--seed", type=int, default=0)
+    return p
+
+
+def figure_parser(desc: str) -> argparse.ArgumentParser:
+    """:func:`std_parser` plus a figure's sweep arguments."""
+    p = std_parser(desc)
     p.add_argument(
         "--runs", type=int, default=None,
         help="seeds for non-deterministic sparsifiers (default: the figure's)",
@@ -57,7 +64,7 @@ def run_figure(doc: str, name: str, title: str) -> None:
     """The job of figure function ``figures.<name>``: parse the standard
     arguments (``doc`` is the job's help text), run the figure in a session
     named ``name``, print every table under ``title``, and stop the session."""
-    args = std_parser(doc).parse_args()
+    args = figure_parser(doc).parse_args()
     figure = getattr(figures, name)
     spark = session.build(name)
     results = figure(spark, **figure_kwargs(figure, args))

@@ -158,7 +158,6 @@ def table3_datasets(
                 "Density": g.m / pairs,
             }
         )
-        g.edges.unpersist()
     return pd.DataFrame(rows)
 
 

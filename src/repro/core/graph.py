@@ -9,12 +9,16 @@ algorithm needs per-vertex incidence. Self-loops are dropped at
 construction; parallel edges are merged (max weight) so ``|E|`` counts
 simple edges, as in the paper's Table 3.
 
-A materialized graph (:meth:`Graph.cache`, :meth:`Graph.checkpointed`)
-keeps its edges in one partition, and :meth:`Graph.vertices` is one
-slice. Spark plans no exchange over a child that reports a single
-partition, so a join, window or aggregate that reads such a graph runs
-without a shuffle; under adaptive execution every exchange is a Spark
-job of its own, and at lite scale jobs, not rows, are the cost.
+Every graph the driver builds (:meth:`Graph.from_pandas`: the stand-ins,
+their symmetrized views, the driver-side sparsifiers' outputs) keeps its
+canonical pandas edge list, so :meth:`Graph.to_pandas_edges` and the
+views built on it run no Spark job. Such a graph, like a
+:meth:`Graph.checkpointed` one, keeps its edges in one partition, and
+:meth:`Graph.vertices` is one slice. Spark plans no exchange over a child
+that reports a single partition, so a join, window or aggregate that
+reads such a graph runs without a shuffle; under adaptive execution every
+exchange is a Spark job of its own, and at lite scale jobs, not rows, are
+the cost.
 """
 from __future__ import annotations
 
@@ -48,37 +52,11 @@ class Graph:
     n: int
     name: str = ""
     _m: int | None = field(default=None, repr=False, compare=False)
-    # False when the edges are a driver-side edge list or a checkpoint:
-    # Spark has no plan behind them to truncate.
-    _lineage: bool = field(default=True, repr=False, compare=False)
+    # The canonical edge list ``edges`` was built from, sorted by
+    # (src, dst); None for an edge set Spark computes.
+    _pdf: pd.DataFrame | None = field(default=None, repr=False, compare=False)
 
     # -- construction -------------------------------------------------
-    @staticmethod
-    def from_edges(
-        edges: DataFrame, *, directed: bool, weighted: bool, n: int, name: str = ""
-    ) -> "Graph":
-        """Canonicalize an arbitrary (src, dst[, weight]) DataFrame.
-
-        Drops self-loops, fills missing weights with 1.0, folds undirected
-        edges into ``src < dst`` orientation, and merges parallel edges by
-        max weight (deterministic).
-        """
-        if "weight" not in edges.columns:
-            edges = edges.withColumn("weight", F.lit(1.0))
-        e = edges.select(
-            F.col("src").cast("long"),
-            F.col("dst").cast("long"),
-            F.col("weight").cast("double"),
-        ).where(F.col("src") != F.col("dst"))
-        if not directed:
-            e = e.select(
-                F.least("src", "dst").alias("src"),
-                F.greatest("src", "dst").alias("dst"),
-                "weight",
-            )
-        e = e.groupBy("src", "dst").agg(F.max("weight").alias("weight"))
-        return Graph(edges=e, directed=directed, weighted=weighted, n=n, name=name)
-
     @staticmethod
     def from_pandas(
         spark: SparkSession,
@@ -91,11 +69,13 @@ class Graph:
     ) -> "Graph":
         """Build a Graph from a pandas edge list (src, dst[, weight]).
 
-        Canonicalizes as :meth:`from_edges` does, but in pandas: the
-        frame handed to Spark needs no ``groupBy`` (under adaptive
-        execution an exchange is a Spark job of its own). Rows arrive
-        sorted by ``(src, dst)``, in one partition, already counted: the
-        graph is materialized without a Spark job.
+        Drops self-loops, fills missing weights with 1.0, folds undirected
+        edges into ``src < dst`` orientation, and merges parallel edges by
+        max weight, all in pandas: the frame handed to Spark needs no
+        ``groupBy`` (under adaptive execution an exchange is a Spark job
+        of its own). Rows arrive sorted by ``(src, dst)``, in one
+        partition, already counted: the graph is materialized without a
+        Spark job, and the driver keeps the canonical frame.
         """
         src = pdf["src"].to_numpy(np.int64)
         dst = pdf["dst"].to_numpy(np.int64)
@@ -115,7 +95,7 @@ class Graph:
         edges = spark.createDataFrame(canonical, schema=EDGE_SCHEMA).coalesce(1)
         return Graph(
             edges=edges, directed=directed, weighted=weighted, n=n, name=name,
-            _m=len(canonical), _lineage=False,
+            _m=len(canonical), _pdf=canonical,
         )
 
     # -- basic accessors ----------------------------------------------
@@ -134,7 +114,7 @@ class Graph:
         """Same graph type over a new edge set (sparsifier output)."""
         return replace(
             self, edges=edges, name=self.name if name is None else name, _m=None,
-            _lineage=True,
+            _pdf=None,
         )
 
     def vertices(self) -> DataFrame:
@@ -178,8 +158,9 @@ class Graph:
         """Undirected version per §3.1 (adds dst→src edges, merges dups)."""
         if not self.directed:
             return self
-        return Graph.from_edges(
-            self.edges,
+        return Graph.from_pandas(
+            self.spark,
+            self.to_pandas_edges(),
             directed=False,
             weighted=self.weighted,
             n=self.n,
@@ -188,12 +169,15 @@ class Graph:
 
     # -- driver-side views (for inherently sequential kernels) --------
     def to_pandas_edges(self) -> pd.DataFrame:
-        """Collect the canonical edge list to the driver.
+        """The canonical edge list on the driver.
 
         Ordered by (src, dst) so driver-side kernels (union-find, CSR
         builds, ER sampling) see a deterministic edge order regardless of
-        shuffle partitioning.
+        shuffle partitioning. A driver-built graph returns a copy of its
+        own frame, with no Spark job; any other graph collects its edges.
         """
+        if self._pdf is not None:
+            return self._pdf.copy()
         return self.edges.orderBy("src", "dst").toPandas()
 
     def to_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -225,12 +209,6 @@ class Graph:
         np.cumsum(indptr, out=indptr)
         return indptr, d, w
 
-    def cache(self) -> "Graph":
-        """The same graph with its edges cached in one partition and counted
-        (one Spark job after the edges' own exchanges)."""
-        edges = self.edges.coalesce(1).cache()
-        return replace(self, edges=edges, _m=edges.count())
-
     def checkpointed(self) -> "Graph":
         """The same graph with its edges checkpointed in one partition,
         lineage truncated, and counted.
@@ -240,10 +218,10 @@ class Graph:
         reports no partitioning, so it is read back through ``coalesce(1)``
         (as :func:`repro.core.iterate.materialize` does).
 
-        A graph without lineage (a driver-side edge list, an earlier
-        checkpoint) is returned as is, with no Spark job.
+        A driver-built graph is returned as is, with no Spark job: its
+        edges are already one partition with no plan behind them.
         """
-        if not self._lineage:
+        if self._pdf is not None:
             return self
         edges = self.edges.coalesce(1).localCheckpoint(eager=False).coalesce(1)
-        return replace(self, edges=edges, _m=edges.count(), _lineage=False)
+        return replace(self, edges=edges, _m=edges.count())

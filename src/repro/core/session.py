@@ -14,12 +14,12 @@ from pyspark.sql import SparkSession
 def build(app: str) -> SparkSession:
     """A SparkSession named ``app`` with the harness's settings.
 
-    Materialized graphs and checkpoints keep one partition, which plans no
+    Driver-built graphs and checkpoints keep one partition, which plans no
     shuffle; the shuffle partition count (``SPARK_SHUFFLE_PARTITIONS``)
-    reaches only lazy frames (a stand-in before its cache) and the
-    exchanges the planner still adds (DESIGN.md §5). Broadcast joins are
-    off. Spark writes no progress bar and only its errors to the console,
-    so job logs (``results/*.err``) keep the program's own warnings.
+    reaches only the exchanges the planner still adds (DESIGN.md §5) and
+    frames a caller repartitions. Broadcast joins are off. Spark writes no
+    progress bar and only its errors to the console, so job logs
+    (``results/*.err``) keep the program's own warnings.
     """
     s = (
         SparkSession.builder.appName(app)

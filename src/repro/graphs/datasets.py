@@ -68,7 +68,7 @@ def _finish(
         labels = labels[old_ids]
     g = Graph.from_pandas(
         spark, edges, directed=directed, weighted=weighted, n=len(old_ids), name=name
-    ).cache()
+    )
     return Dataset(
         name=name,
         category=category,

@@ -1,8 +1,9 @@
 """Shared tiny-graph fixtures for the test suite.
 
-All fixtures are session-scoped and built once: Spark-side graphs are
-materialized through ``Graph.cache`` (one partition, as the harness
-keeps its graphs), and each has a networkx twin for oracle comparisons.
+All fixtures are session-scoped and built once: each graph is built on
+the driver by ``Graph.from_pandas`` (one partition, no Spark job, as the
+harness builds its stand-ins), and each has a networkx twin for oracle
+comparisons.
 Graphs are deliberately tiny (n <= ~80) — the suite runs hundreds of Spark jobs and
 per-job overhead dominates at this scale.
 """
@@ -45,7 +46,7 @@ def tiny_undirected(spark) -> Graph:
     pdf = gen.holme_kim(70, 3, 0.5, seed=7)
     return Graph.from_pandas(
         spark, pdf, directed=False, weighted=False, n=70, name="tiny_u"
-    ).cache()
+    )
 
 
 @pytest.fixture(scope="session")
@@ -54,7 +55,7 @@ def tiny_directed(spark) -> Graph:
     pdf = gen.powerlaw_directed(60, 240, seed=3)
     return Graph.from_pandas(
         spark, pdf, directed=True, weighted=False, n=60, name="tiny_d"
-    ).cache()
+    )
 
 
 @pytest.fixture(scope="session")
@@ -64,7 +65,7 @@ def tiny_weighted(spark) -> Graph:
     pdf = gen.connect_components(pdf, 40, seed=5)
     return Graph.from_pandas(
         spark, pdf, directed=False, weighted=True, n=40, name="tiny_w"
-    ).cache()
+    )
 
 
 @pytest.fixture(scope="session")
@@ -76,7 +77,7 @@ def tiny_disconnected(spark) -> Graph:
     pdf = pd.concat([e1, e2], ignore_index=True)
     return Graph.from_pandas(
         spark, pdf, directed=False, weighted=False, n=60, name="tiny_disc"
-    ).cache()
+    )
 
 
 @pytest.fixture(scope="session")
@@ -85,7 +86,7 @@ def path_graph(spark) -> Graph:
     pdf = pd.DataFrame({"src": range(9), "dst": range(1, 10)})
     return Graph.from_pandas(
         spark, pdf, directed=False, weighted=False, n=10, name="path10"
-    ).cache()
+    )
 
 
 @pytest.fixture(scope="session")
@@ -94,7 +95,7 @@ def star_graph(spark) -> Graph:
     pdf = pd.DataFrame({"src": [0] * 8, "dst": range(1, 9)})
     return Graph.from_pandas(
         spark, pdf, directed=False, weighted=False, n=9, name="star9"
-    ).cache()
+    )
 
 
 @pytest.fixture(scope="session")
@@ -104,7 +105,7 @@ def complete_graph(spark) -> Graph:
     pdf = pd.DataFrame(rows, columns=["src", "dst"])
     return Graph.from_pandas(
         spark, pdf, directed=False, weighted=False, n=6, name="K6"
-    ).cache()
+    )
 
 
 @pytest.fixture(scope="session")
@@ -114,17 +115,15 @@ def sbm_graph(spark):
     edges = gen.connect_components(edges, 80, seed=21)
     g = Graph.from_pandas(
         spark, edges, directed=False, weighted=False, n=80, name="sbm4"
-    ).cache()
+    )
     return g, labels
 
 
 @pytest.fixture(scope="session")
 def stand_in(spark):
     """A loaded dataset stand-in (facebook_lite at scale 0.12), as a sweep
-    reads it: cached in one partition."""
-    g = datasets.load(spark, "facebook_lite", scale=0.12, seed=0).graph
-    yield g
-    g.edges.unpersist()
+    reads it: built on the driver, one partition, its edge list kept."""
+    return datasets.load(spark, "facebook_lite", scale=0.12, seed=0).graph
 
 
 @pytest.fixture(scope="session")

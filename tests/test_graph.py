@@ -57,8 +57,8 @@ class TestCanonicalization:
 
     @pytest.mark.parametrize("directed", [False, True])
     @pytest.mark.parametrize("weight", [True, False])
-    def test_from_pandas_matches_from_edges(self, spark, directed, weight):
-        """The pandas canonicalization agrees with the Spark one (oracle)."""
+    def test_from_pandas_matches_duckdb(self, spark, directed, weight):
+        """The pandas canonicalization agrees with the same fold in SQL (oracle)."""
         pdf = pd.DataFrame(
             {
                 # a self-loop, (0,1) in both orientations, (2,4) and (1,2)
@@ -70,15 +70,17 @@ class TestCanonicalization:
         )
         if not weight:
             pdf = pdf.drop(columns="weight")
-        kw = dict(directed=directed, weighted=weight, n=5)
-        via_pandas = Graph.from_pandas(spark, pdf, **kw)
-        via_spark = Graph.from_edges(spark.createDataFrame(pdf), **kw)
-
-        def rows(g):
-            return sorted(tuple(r) for r in g.edges.collect())
-
-        assert rows(via_pandas) == rows(via_spark)
-        assert len(rows(via_pandas)) == (6 if directed else 4)
+        g = Graph.from_pandas(spark, pdf, directed=directed, weighted=weight, n=5)
+        lo, hi = ("src", "dst") if directed else ("LEAST(src, dst)", "GREATEST(src, dst)")
+        assert_equivalent(
+            g.edges,
+            f"""
+            SELECT {lo} AS src, {hi} AS dst, MAX(weight) AS weight
+            FROM e WHERE src <> dst GROUP BY 1, 2
+            """,
+            e=pdf if weight else pdf.assign(weight=1.0),
+        )
+        assert g.m == g.edges.count() == (6 if directed else 4)
 
 
 class TestViews:
@@ -110,6 +112,14 @@ class TestViews:
         pairs = set(map(tuple, e[["src", "dst"]].to_numpy()))
         for r in orig.itertuples():
             assert (min(r.src, r.dst), max(r.src, r.dst)) in pairs
+
+    def test_symmetrized_lazy_directed(self, tiny_directed):
+        """A directed graph whose edges Spark computes symmetrizes to the
+        same edge list as the driver-built one."""
+        lazy = tiny_directed.with_edges(tiny_directed.edges.repartition(4))
+        pd.testing.assert_frame_equal(
+            lazy.symmetrized().to_pandas_edges(), tiny_directed.symmetrized().to_pandas_edges()
+        )
 
     def test_symmetrized_noop_on_undirected(self, tiny_undirected):
         assert tiny_undirected.symmetrized() is tiny_undirected
@@ -179,6 +189,18 @@ class TestDriverViews:
     def test_csr_directed_uses_out_edges(self, tiny_directed):
         indptr, nbrs, _ = tiny_directed.to_csr()
         assert len(nbrs) == tiny_directed.m
+
+    def test_driver_views_are_copies(self, spark, messy_graph):
+        """Writing into what the driver views return leaves the graph's own
+        edge list as it was."""
+        g = Graph.from_pandas(spark, messy_graph, directed=False, weighted=True, n=5)
+        before = g.to_pandas_edges().copy()
+        edges = g.to_pandas_edges()
+        edges["src"] = -1
+        edges.loc[0, "weight"] = -1.0
+        for a in g.to_arrays():
+            a[:] = -1
+        pd.testing.assert_frame_equal(g.to_pandas_edges(), before)
 
     def test_with_edges_preserves_type(self, tiny_undirected):
         h = tiny_undirected.with_edges(tiny_undirected.edges.limit(3))

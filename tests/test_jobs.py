@@ -1,5 +1,6 @@
-"""The job entrypoints under ``jobs/``: each parses its arguments, and the
-figure runner hands ``--sparsifiers`` to the right keyword arguments."""
+"""The job entrypoints under ``jobs/``: each parses its arguments, only a
+figure job takes the sweep arguments, and the figure runner hands
+``--sparsifiers`` to the right keyword arguments."""
 import importlib
 import inspect
 import os
@@ -13,6 +14,7 @@ from repro.core import figures
 
 JOBS = Path(__file__).resolve().parents[1] / "jobs"
 SRC = JOBS.parent / "src"
+SWEEP_FLAGS = ("--runs", "--rhos", "--sparsifiers")
 
 
 @pytest.mark.parametrize("job", sorted(p.name for p in JOBS.glob("[!_]*.py")))
@@ -26,6 +28,8 @@ def test_job_help(job):
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.startswith("usage:"), done.stdout
+    sweeps = job.startswith("fig")
+    assert all((flag in done.stdout) == sweeps for flag in SWEEP_FLAGS), done.stdout
 
 
 @pytest.fixture
@@ -35,7 +39,7 @@ def common(monkeypatch):
 
 
 def test_sparsifiers_reach_every_sparsifier_list(common):
-    args = common.std_parser("").parse_args(["--sparsifiers", "RN", "LD"])
+    args = common.figure_parser("").parse_args(["--sparsifiers", "RN", "LD"])
     fig11 = common.figure_kwargs(figures.fig11_pagerank, args)
     assert fig11["sparsifiers_a"] == fig11["sparsifiers_b"] == ["RN", "LD"]
     fig04 = common.figure_kwargs(figures.fig04_distance, args)
@@ -47,7 +51,7 @@ def test_default_sparsifiers_kept(common):
     """Unset ``--runs`` and ``--rhos`` leave the figure's own defaults."""
 
     def run_args(figure, argv):
-        kwargs = common.figure_kwargs(figure, common.std_parser("").parse_args(argv))
+        kwargs = common.figure_kwargs(figure, common.figure_parser("").parse_args(argv))
         bound = inspect.signature(figure).bind(None, **kwargs)
         bound.apply_defaults()
         return kwargs, bound.arguments

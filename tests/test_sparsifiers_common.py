@@ -119,11 +119,12 @@ def test_weights_unchanged(tiny_weighted, ab):
 
 @pytest.fixture(scope="module")
 def lazy_undirected(spark):
-    """Uncached Holme-Kim graph, n=70: every action re-runs the
-    canonicalising shuffle under the session's current partition count.
+    """Holme-Kim graph, n=70, built on the driver like every fixture.
 
-    Its edges differ from every cached fixture's, so Spark's cache cannot
-    substitute a fixed partition layout for that shuffle.
+    ``from_pandas`` runs no shuffle and hands Spark one partition, so the
+    partition count never reaches these edges on its own: the test below
+    repartitions them explicitly, which also drops the driver-side edge
+    list and makes every driver-side sparsifier collect from Spark.
     """
     pdf = gen.holme_kim(70, 3, 0.5, seed=17)
     return Graph.from_pandas(spark, pdf, directed=False, weighted=False, n=70, name="lazy_u")
