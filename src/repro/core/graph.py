@@ -218,8 +218,10 @@ class Graph:
         reports no partitioning, so it is read back through ``coalesce(1)``
         (as :func:`repro.core.iterate.materialize` does).
 
-        A driver-built graph is returned as is, with no Spark job: its
-        edges are already one partition with no plan behind them.
+        Only a driver-built graph is returned as is, with no Spark job: its
+        edges are already one partition with no plan behind them. The
+        result of a checkpoint is not marked as one, so calling this again
+        on it checkpoints and counts again (one more job).
         """
         if self._pdf is not None:
             return self
